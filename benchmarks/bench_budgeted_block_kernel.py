@@ -2,20 +2,18 @@
 
 The paper's headline time–recall tradeoff (Fig. 5) and k-sensitivity
 (Fig. 6) are measured entirely under candidate budgets
-(``candidate_fraction`` / ``max_candidates``) — and until this change those
-configurations were vetoed off the block traversal kernel and ran the
-per-query path.  The kernel now carries a per-query verified-candidate
-count, retires exhausted queries exactly where the per-query loop breaks,
-and mirrors the per-query node-value strategy (eager GEMV precompute for
-``budget >= num_nodes``, per-node lazy ddots below it) so results *and*
-``SearchStats`` counters stay bit-identical.
+(``candidate_fraction`` / ``max_candidates``).  The block traversal kernel
+carries a per-query verified-candidate count, retires each exhausted query
+exactly where its one-row descent stops, and picks one node-value strategy
+per ``(budget, tree)`` (eager GEMV precompute for ``budget >= num_nodes``,
+per-node lazy ddots below it), so batch results *and* ``SearchStats``
+counters are bit-identical to one-row ``search``.
 
 Two tests:
 
 * a budget sweep records queries/second for budgeted BC-Tree across
-  several budgets in both value strategies, against the per-query loop
-  (what the scheduled per-query dispatch runs per worker), asserting
-  bit-identity everywhere;
+  several budgets in both value strategies, against a loop of one-row
+  ``search`` calls, asserting bit-identity everywhere;
 * the floor test pins a >= 1.5x single-process speedup for budgeted
   BC-Tree (``candidate_fraction=0.1``, the eager strategy the benchmarked
   figures use) on the 4k-point clustered surrogate with a 4096-query
@@ -31,7 +29,7 @@ from __future__ import annotations
 from repro import BCTree
 from repro.datasets import random_hyperplane_queries
 from repro.datasets.synthetic import clustered_gaussian
-from repro.engine.batch import uses_kernel_dispatch
+from repro.engine.batch import kernel_dispatch_path
 from repro.eval.reporting import print_and_save
 
 from conftest import (
@@ -78,7 +76,7 @@ def test_budgeted_kernel_sweep(results_dir):
     )
     records = []
     for budget in sweep:
-        assert uses_kernel_dispatch(index, **budget)
+        assert kernel_dispatch_path(index, **budget) == "kernel"
         loop_qps = measure_loop_throughput(
             index, queries, K, repeats=1, **budget
         )
@@ -139,7 +137,7 @@ def test_budgeted_kernel_speedup_floor(results_dir):
     """>= 1.5x single-process speedup for budgeted BC-Tree.
 
     Asserted with ``n_jobs=1`` — no worker pool, one process — against the
-    per-query loop over the same 4096-query block, at the paper-style
+    one-row ``search`` loop over the same 4096-query block, at the paper-style
     ``candidate_fraction=0.1``.  Tiny smoke sizes (CI) only enforce a
     sanity floor: sub-millisecond workloads flip on scheduler noise.
     """
@@ -212,5 +210,5 @@ def test_budgeted_kernel_speedup_floor(results_dir):
     )
     assert speedup >= floor, (
         f"budgeted block kernel ({qps:.0f} qps) is only {speedup:.2f}x the "
-        f"per-query engine ({loop_qps:.0f} qps); expected >= {floor}x"
+        f"one-row search loop ({loop_qps:.0f} qps); expected >= {floor}x"
     )

@@ -1,27 +1,25 @@
 """Extension — block-vectorized tree traversal throughput (Ball/BC/KD).
 
-PR 1 made every tree index's ``batch_search`` dispatch *per-query*
-traversals over a worker pool; the traversal itself still ran once per
-query, so single-process batch throughput was bounded by interpreter and
-NumPy-dispatch overhead per (query, node) and (query, leaf) event.  The
-block traversal kernel (:mod:`repro.engine.block`) pushes whole query
-blocks down the tree together — one frontier walk per query *group*,
-shared 2-D bound and cone masks per leaf — while keeping results and work
-counters bit-identical to per-query search.
+Every tree index answers queries with the block traversal kernel
+(:mod:`repro.engine.block`): ``search`` runs it on a one-row block, and
+``batch_search`` pushes whole query blocks down the tree together — one
+frontier walk per query *group*, shared 2-D bound and cone masks per leaf
+— with results and work counters bit-identical to one-row ``search``.  A
+loop of ``search`` calls pays the interpreter and NumPy-dispatch overhead
+of every (query, node) and (query, leaf) event that a block amortizes.
 
 Two tests:
 
 * the dataset sweep records queries/second for Ball-Tree, BC-Tree, and
   KD-Tree across the configured surrogates and ``n_jobs in {1, 2, 4}``,
-  against the per-query engine loop (``[index.search(q) for q in
-  queries]`` — the shape PR 1's batch path pooled);
+  against the one-row loop (``[index.search(q) for q in queries]``);
 * a dedicated 4k-point clustered surrogate with a big query block
   (where batch traffic actually amortizes: leaf groups stay large all the
   way down) enforces the >= 2x single-process floor for BC-Tree and pins
   bit-identity of results *and* ``SearchStats`` against sequential search.
 
 The block kernel's gain is pure overhead amortization — every float it
-produces equals the per-query path's, so there is no accuracy (or even
+produces equals the one-row path's, so there is no accuracy (or even
 work-counter) trade-off anywhere in this table.
 """
 
@@ -63,7 +61,7 @@ def _methods():
 
 
 def test_tree_block_kernel_throughput(benchmark, workloads, results_dir):
-    """Block-kernel batch throughput vs the per-query engine loop."""
+    """Block-kernel batch throughput vs the one-row ``search`` loop."""
     records = []
     for name, workload in workloads.items():
         for method, factory in _methods().items():
@@ -126,14 +124,15 @@ def test_tree_block_kernel_throughput(benchmark, workloads, results_dir):
 
 
 def test_block_kernel_speedup_floor(results_dir):
-    """>= 2x single-process speedup over the per-query engine for BC-Tree.
+    """>= 2x single-process speedup over the one-row ``search`` loop for
+    BC-Tree.
 
-    The 4k-point clustered surrogate at ``d=20`` is the regime the
-    per-query engine's cost is almost entirely interpreter/dispatch
+    The 4k-point clustered surrogate at ``d=20`` is the regime where a
+    one-row search's cost is almost entirely interpreter/dispatch
     overhead (the leaf GEMVs at that dimension are a few microseconds per
     query), so the block kernel's amortization shows up undiluted.  The
     floor is asserted with ``n_jobs=1`` — no worker pool, one process —
-    against the per-query loop over the same query block.  Tiny smoke
+    against the one-row loop over the same query block.  Tiny smoke
     sizes (CI) only enforce a sanity floor: the kernel's grouping needs the
     full tree depth to matter, and sub-millisecond workloads flip on
     scheduler noise.
@@ -207,6 +206,6 @@ def test_block_kernel_speedup_floor(results_dir):
         },
     )
     assert speedup >= floor, (
-        f"block kernel ({qps:.0f} qps) is only {speedup:.2f}x the per-query "
-        f"engine ({loop_qps:.0f} qps); expected >= {floor}x"
+        f"block kernel ({qps:.0f} qps) is only {speedup:.2f}x the one-row "
+        f"search loop ({loop_qps:.0f} qps); expected >= {floor}x"
     )

@@ -12,8 +12,7 @@ search kwargs into four orthogonal pieces:
   families in; :func:`available_indexes` lists them;
 * :class:`SearchOptions` — one typed, centrally-validated object for
   every search knob (``k``, candidate budget, ``n_jobs``, ``executor``,
-  ``block``, ``profile``, family extras), replacing ad-hoc kwarg
-  threading;
+  ``profile``, family extras), replacing ad-hoc kwarg threading;
 * :class:`Searcher` — a context-manager session owning a long-lived
   worker pool: repeated ``batch_search`` / ``stream`` calls skip pool
   spawn and (for the process executor) per-call index pickling while

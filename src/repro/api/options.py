@@ -53,15 +53,13 @@ class SearchOptions:
     executor:
         ``"thread"`` or ``"process"`` — the pool flavor batched execution
         dispatches on.
-    block:
-        If False, kernel-capable indexes skip their vectorized batch
-        kernel and run the scheduled per-query path (results identical;
-        useful for benchmarking the two paths against each other).
     profile:
-        Collect per-stage wall timers (forces per-query dispatch for the
-        tree indexes, whose kernels keep no stage timers).  Incompatible
-        with ``exact=False`` — the profiling counters are defined by the
-        exact traversal.
+        Collect per-stage wall timers (``"lower_bounds"`` and
+        ``"verification"`` in ``SearchStats.stage_seconds``) on the tree
+        indexes.  Batches still run the block traversal kernel, which
+        answers a profiled query on its own one-row sub-block; results and
+        work counters are unchanged.  Incompatible with ``exact=False`` —
+        the stage timers are defined by the exact traversal.
     exact:
         True (default) runs the bit-exact engine.  False opts into the
         approximate fast mode on the tree families: reduced-precision
@@ -101,7 +99,6 @@ class SearchOptions:
     max_candidates: Optional[int] = None
     n_jobs: Optional[int] = None
     executor: str = "thread"
-    block: bool = True
     profile: bool = False
     exact: bool = True
     dtype: Optional[str] = None
@@ -135,8 +132,6 @@ class SearchOptions:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
-        if not isinstance(self.block, bool):
-            raise TypeError(f"block must be a bool, got {type(self.block)!r}")
         if not isinstance(self.profile, bool):
             raise TypeError(f"profile must be a bool, got {type(self.profile)!r}")
         if not isinstance(self.exact, bool):
@@ -164,7 +159,7 @@ class SearchOptions:
             )
         extra = dict(self.extra or {})
         reserved = set(_FIELD_KWARGS) | {
-            "k", "n_jobs", "executor", "block", "storage",
+            "k", "n_jobs", "executor", "storage",
         }
         shadowed = sorted(reserved & set(extra))
         if shadowed:
@@ -178,7 +173,7 @@ class SearchOptions:
 
     @classmethod
     def from_kwargs(cls, *, k: int = 1, n_jobs: Optional[int] = None,
-                    executor: str = "thread", block: bool = True,
+                    executor: str = "thread",
                     **search_kwargs: Any) -> "SearchOptions":
         """Build options from a flat kwarg dict (the legacy calling style).
 
@@ -194,7 +189,6 @@ class SearchOptions:
             k=k,
             n_jobs=n_jobs,
             executor=executor,
-            block=block,
             extra=search_kwargs,
             **fields,
         )
@@ -229,7 +223,6 @@ class SearchOptions:
         out: Dict[str, Any] = {
             "k": self.k,
             "executor": self.executor,
-            "block": self.block,
             "profile": self.profile,
             "exact": self.exact,
         }

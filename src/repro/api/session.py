@@ -212,7 +212,7 @@ class Searcher:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_process_worker_init,
-                    initargs=(self.index, None, None),
+                    initargs=(self.index,),
                 )
             else:
                 self._pool = ThreadPoolExecutor(max_workers=self.workers)
@@ -266,16 +266,14 @@ class Searcher:
         Results and per-query/pooled stats are bit-identical to
         ``index.batch_search(queries, ...)`` with the same options — the
         session only removes the per-call pool spawn and index pickling.
-        ``k`` and per-search knobs (budget, ``block``, ``profile``,
+        ``k`` and per-search knobs (budget, ``profile``,
         family-specific kwargs) may be overridden per call;
         ``n_jobs``/``executor`` are fixed per session.
         """
         self._check_open()
         options = self._call_options(k, overrides)
-        if (
-            options.executor == "thread"
-            and options.block
-            and getattr(self.index, "_session_native_batch", False)
+        if options.executor == "thread" and getattr(
+            self.index, "_session_native_batch", False
         ):
             # Composite indexes with their own vectorized batched path
             # (the partitioned index's per-shard batches + block merge)
@@ -301,7 +299,6 @@ class Searcher:
             options.k,
             n_jobs=self.workers,
             executor=options.executor,
-            block=options.block,
             pool=pool,
             **options.search_kwargs(),
         )

@@ -22,10 +22,9 @@ writing code:
   tables or figures (``table2``, ``table3``, ``fig5`` ... ``fig11``,
   ``partitioned``, ``batch``) at a configurable scale, printing the same
   rows the benchmark suite produces and optionally writing JSON/CSV.
-  ``run batch`` sweeps exact and budgeted configurations and reports, per
-  row, the execution path actually dispatched (``kernel`` vs
-  ``per-query``) together with the reason a configuration fell back —
-  so a silently-vetoed option can't masquerade as a kernel run.
+  ``run batch`` sweeps exact, budgeted and fast configurations and
+  reports, per row, the execution path dispatched (``kernel``,
+  ``fast-gemm``, or ``per-query`` for indexes without a batch kernel).
 
 Every command is deterministic for a fixed ``--seed``.
 """

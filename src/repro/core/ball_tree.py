@@ -16,14 +16,14 @@ Approximate search is supported through a *candidate budget*: traversal
 stops once a given number (or fraction) of points has been verified, which
 is how the paper trades recall for query time in Figures 5-6.
 
-The traversal itself is executed by the shared
-:class:`~repro.engine.traversal.TraversalEngine`; this class only owns
-construction and the engine configuration.
+Search runs on the block traversal kernel (:mod:`repro.engine.block`) over
+the index's :class:`~repro.engine.traversal.TraversalEngine`: ``search`` is
+a one-row block and ``batch_search`` hands each worker a chunk, so both run
+the same loop.  This class owns construction and the option handling.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from repro.core.index_base import LeafStoredPointsMixin, P2HIndex
 from repro.core.policies import BranchPreference
 from repro.core.results import SearchResult
 from repro.core.tree_base import NodeView, TreeArrays, build_tree
-from repro.engine.block import attach_block_timing
 from repro.engine.budget import resolve_budget
 from repro.engine.traversal import TraversalEngine
 from repro.utils.validation import check_positive_int
@@ -136,9 +135,13 @@ class BallTree(LeafStoredPointsMixin, P2HIndex):
     def _make_engine(self) -> TraversalEngine:
         return TraversalEngine.for_ball_tree(self)
 
-    def _search_one(
+    def _engine_signature(self) -> tuple:
+        # The engine bakes in the default branch preference.
+        return (self.branch_preference,)
+
+    def _block_search(
         self,
-        query: np.ndarray,
+        matrix: np.ndarray,
         k: int,
         *,
         candidate_fraction: Optional[float] = None,
@@ -147,19 +150,19 @@ class BallTree(LeafStoredPointsMixin, P2HIndex):
         profile: bool = False,
         exact: bool = True,
         dtype: Optional[str] = None,
-    ) -> SearchResult:
-        """Branch-and-bound traversal (Algorithm 3) generalized to top-k.
+    ) -> List[SearchResult]:
+        """Answer the already-normalized query block ``matrix``
+        (Algorithm 3 generalized to top-k; one row for ``search``).
 
-        ``exact=False`` routes the query through the approximate fast-mode
-        kernel (:mod:`repro.engine.fast`) in the requested storage
-        ``dtype`` (float32 by default) instead of the bit-exact engine.
+        The option handling ``search`` and ``batch_search`` share: budget
+        resolution, the ``exact``/``dtype``/``profile`` checks, and the
+        hand-off to the fast tier.  With ``exact=True`` (the default) the
+        block runs on the exact block traversal kernel
+        (:mod:`repro.engine.block`); with ``exact=False`` on the
+        approximate fast-mode kernel (:mod:`repro.engine.fast`) in the
+        requested storage ``dtype`` (float32 by default).
         """
         budget = self._resolve_budget(candidate_fraction, max_candidates)
-        preference = (
-            self.branch_preference
-            if branch_preference is None
-            else BranchPreference.coerce(branch_preference)
-        )
         if not exact:
             if profile:
                 raise ValueError(
@@ -168,98 +171,14 @@ class BallTree(LeafStoredPointsMixin, P2HIndex):
             # repro: allow[REP102] exact=False hand-off to the fast tier;
             # the literal names its default storage dtype.
             return self._engine().fast_kernel(dtype or "float32").search_block(
-                query[None, :], k, preference=preference, budget=budget
-            )[0]
+                matrix, k, preference=branch_preference, budget=budget
+            )
         if dtype is not None:
             raise ValueError(
                 "dtype selects the fast mode's storage precision and "
                 "requires exact=False"
             )
-        return self._engine().search(
-            query,
-            k,
-            budget=budget,
-            order="depth_first",
-            preference=preference,
+        return self._engine().block_kernel().search_block(
+            matrix, k, preference=branch_preference, budget=budget,
             profile=profile,
         )
-
-    # ---------------------------------------------------------- batch kernel
-
-    def _batch_kernel_veto(
-        self,
-        candidate_fraction=None,
-        max_candidates=None,
-        branch_preference=None,
-        profile: bool = False,
-        exact: bool = True,
-        dtype=None,
-        **unknown,
-    ) -> Optional[str]:
-        """Why the block traversal kernel cannot cover these search options.
-
-        Returns a human-readable reason (surfaced by
-        :func:`repro.engine.batch.kernel_dispatch_reason` and the ``run
-        batch`` experiment) or None when a kernel applies.  Candidate
-        budgets are covered — the kernel carries a per-query verified count
-        and retires exhausted queries exactly where the per-query loop
-        breaks.  ``exact=False`` dispatches the fast GEMM kernel (which
-        also covers budgets).  ``profile=True`` needs per-stage wall timers
-        no kernel keeps, and unknown options decline the kernels so the
-        per-query ``search`` raises its usual ``TypeError``.
-        """
-        if unknown:
-            return "unknown search options: " + ", ".join(sorted(unknown))
-        if profile:
-            return (
-                "profile=True needs the per-query path's per-stage timers"
-            )
-        return None
-
-    def _batch_kernel(
-        self,
-        queries: np.ndarray,
-        k: int,
-        *,
-        candidate_fraction=None,
-        max_candidates=None,
-        branch_preference=None,
-        profile: bool = False,
-        exact: bool = True,
-        dtype=None,
-    ) -> List[SearchResult]:
-        """Answer a whole query block with the block traversal kernel.
-
-        The engine dispatches here only for option combinations
-        :meth:`_batch_kernel_veto` accepts — the signature still names
-        every supported option so explicitly passing its default (e.g.
-        ``candidate_fraction=None``) works exactly like per-query
-        ``search``.  With ``exact=True`` (the default) results and work
-        counters are bit-identical to per-query :meth:`search` (see
-        :mod:`repro.engine.block`), including under
-        ``candidate_fraction`` / ``max_candidates`` budgets; with
-        ``exact=False`` the block runs on the approximate fast GEMM kernel
-        (:mod:`repro.engine.fast`) in the requested storage ``dtype``.
-        """
-        wall_tic = time.perf_counter()
-        matrix = self._prepare_query_matrix(queries)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
-        budget = self._resolve_budget(candidate_fraction, max_candidates)
-        if exact:
-            if dtype is not None:
-                raise ValueError(
-                    "dtype selects the fast mode's storage precision and "
-                    "requires exact=False"
-                )
-            kernel = self._engine().block_kernel()
-        else:
-            # repro: allow[REP102] exact=False hand-off to the fast tier;
-            # the literal names its default storage dtype.
-            kernel = self._engine().fast_kernel(dtype or "float32")
-        results = kernel.search_block(
-            matrix, k, preference=branch_preference, budget=budget
-        )
-        attach_block_timing(results, time.perf_counter() - wall_tic)
-        return results

@@ -14,18 +14,16 @@ linear property of the centroid (Lemma 1); per-node center norms are
 precomputed at build time because the cone bound's query decomposition
 needs ``||c||`` on every leaf visit.
 
-Search is executed by the shared
-:class:`~repro.engine.traversal.TraversalEngine`, which evaluates all
-center inner products of a query in one vectorized pass and dispatches the
-BC leaf scan (Algorithm 5's ``ScanWithPruning``).  The engine keeps
-reporting the paper's logical inner-product cost: with Lemma 2's
+Search runs on the block traversal kernel (:mod:`repro.engine.block`),
+which evaluates all center inner products of a query in one vectorized pass
+and runs the BC leaf scan (Algorithm 5's ``ScanWithPruning``) — whole leaf
+at the entry threshold by default, point by point with
+``scan_mode="sequential"``.  ``search`` is a one-row block and
+``batch_search`` descends whole query blocks together with shared per-leaf
+bound evaluation, with the same results and work counters.  The kernel
+reports the paper's logical inner-product cost: with Lemma 2's
 collaborative strategy (Theorem 5) one inner product per expanded node,
 without it two — which is what the ``collaborative_ip`` flag controls.
-Batches are answered by the block traversal kernel
-(:mod:`repro.engine.block`): whole query blocks descend the tree together
-with shared per-leaf bound evaluation, bit-identical — results and work
-counters — to per-query search (the sequential scan mode is the one
-configuration that stays per-query; see :meth:`_batch_kernel_veto`).
 
 The ablation variants of Figure 8 are exposed through the
 ``use_ball_bound`` / ``use_cone_bound`` constructor flags:
@@ -185,29 +183,9 @@ class BCTree(BallTree):
         return TraversalEngine.for_bc_tree(self)
 
     def _engine_signature(self) -> tuple:
-        return (
+        return super()._engine_signature() + (
             self.use_ball_bound,
             self.use_cone_bound,
             self.collaborative_ip,
             self.scan_mode,
         )
-
-    def _batch_kernel_veto(self, **search_kwargs) -> Optional[str]:
-        """Block-kernel coverage for BC-Tree search options.
-
-        In addition to Ball-Tree's exclusions (profiling, unknown options),
-        the sequential scan mode stays per-query on the exact path:
-        Algorithm 5's point-by-point leaf scan tightens the threshold
-        *inside* a leaf, which the block kernel's whole-leaf events cannot
-        reproduce.  The vectorized scan mode — with or without the
-        ball/cone bounds, the collaborative inner-product accounting, or a
-        candidate budget — is fully covered.  The fast mode
-        (``exact=False``) never evaluates point-level bounds, so the scan
-        mode is irrelevant there and the fast kernel covers both modes.
-        """
-        if search_kwargs.get("exact", True) and self.scan_mode == "sequential":
-            return (
-                "scan_mode='sequential' tightens the threshold inside each "
-                "leaf and must run per-query"
-            )
-        return super()._batch_kernel_veto(**search_kwargs)

@@ -12,11 +12,12 @@ bound it uses.  Its price is the priority-queue overhead and the loss of
 the cheap, cache-friendly stack discipline — which is exactly the trade-off
 the ablation benchmark ``bench_ablation_traversal_order.py`` measures.
 
-Both traversal orders are two modes of the same
-:class:`~repro.engine.traversal.TraversalEngine` (a stack frontier vs. a
-heap frontier); this module is a thin façade that reuses the owning index's
-cached engine, so BC-Tree's point-level leaf pruning and the
-collaborative inner-product accounting apply identically.
+Both traversal orders are two modes of the same block traversal kernel
+(:mod:`repro.engine.block`): a stack frontier vs. a heap frontier beside
+it.  This module is a thin façade that runs the owning index's cached
+kernel on one-row blocks with ``order="best_first"``, so BC-Tree's
+point-level leaf pruning and the collaborative inner-product accounting
+apply identically.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class BestFirstSearcher:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(int(k), index.num_points)
         budget = index._resolve_budget(candidate_fraction, max_candidates)
-        return index._engine().search(q, k, budget=budget, order="best_first")
+        return index._engine().block_kernel().search_block(
+            q[None, :], k, budget=budget, order="best_first"
+        )[0]
 
     def batch_search(
         self,

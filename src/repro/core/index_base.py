@@ -19,19 +19,22 @@ hashing baselines — implement the same small contract:
 The base class also owns the augmented data matrix, dimension checks,
 indexing-time bookkeeping, and the cached
 :class:`~repro.engine.traversal.TraversalEngine` for tree indexes, so
-concrete indexes only implement ``_build``, ``_search_one`` and (for tree
-indexes) ``_make_engine``.
+concrete indexes only implement ``_build`` and ``_search_one`` (tree
+indexes: ``_make_engine`` and ``_block_search``, see
+:class:`LeafStoredPointsMixin`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import time
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.distances import augment_points, is_augmented, normalize_query
 from repro.core.results import SearchResult
 from repro.engine.batch import BatchSearchResult, execute_batch
+from repro.engine.block import attach_block_timing
 from repro.storage import StorageSpec
 from repro.utils.persistence import dump_index_payload, load_typed_index
 from repro.utils.timing import Timer
@@ -178,11 +181,12 @@ class P2HIndex:
 
         Notes
         -----
-        Indexes that expose a vectorized ``_batch_kernel`` (the hashing
-        baselines) are answered in whole-block kernel calls instead of
-        per-query dispatch; the engine chunks the block across the worker
-        pool, and results stay bit-identical for every ``n_jobs`` because
-        the kernels are per-row independent.
+        Indexes that expose a vectorized ``_batch_kernel`` (the tree
+        families and the hashing baselines) are answered in whole-block
+        kernel calls instead of per-query dispatch; the engine chunks the
+        block across the worker pool, and results stay bit-identical for
+        every ``n_jobs`` because the kernels are per-row independent and
+        ``search`` runs the same kernel on one row.
         """
         return execute_batch(
             self, queries, k, n_jobs=n_jobs, executor=executor, **kwargs
@@ -392,16 +396,22 @@ class P2HIndex:
 
 
 class LeafStoredPointsMixin:
-    """Point storage for tree indexes: one leaf-ordered resident copy.
+    """Point storage and search entry points for tree indexes.
+
+    Storage: one leaf-ordered resident copy.
 
     Tree traversal only ever reads leaf-contiguous slices, so the
     leaf-ordered copy (``points[tree.perm]``) is the *only* copy these
     indexes keep — stored under ``"points_leaf"`` in the index's array
     store.  The un-permuted matrix is reconstructed lazily by the
-    :attr:`~P2HIndex.points` property (used by the sequential-scan fidelity
-    paths, ``NodeView`` inspection, and composite rebuilds), never cached,
-    so a fitted tree index holds one ``(n, d)`` array resident instead of
-    the historical two.
+    :attr:`~P2HIndex.points` property (used by ``NodeView`` inspection
+    and composite rebuilds), never cached, so a fitted tree index holds
+    one ``(n, d)`` array resident instead of the historical two.
+
+    Search: ``search`` and ``batch_search`` both run the block traversal
+    kernel (:mod:`repro.engine.block`) through the family's
+    ``_block_search(matrix, k, **options)``, which checks the options and
+    answers an already-normalized query block — one row for ``search``.
 
     Mix in *before* :class:`P2HIndex` so the ``_store_points`` override
     wins.
@@ -441,6 +451,24 @@ class LeafStoredPointsMixin:
         from repro.core.chunked import chunked_fit
 
         return chunked_fit(self, points, memory_budget_mb=memory_budget_mb)
+
+    def _search_one(self, query: np.ndarray, k: int, **options) -> SearchResult:
+        """Branch-and-bound top-k search: the block kernel on one row."""
+        return self._block_search(query[None, :], k, **options)[0]
+
+    def _batch_kernel(
+        self, queries: np.ndarray, k: int, **options
+    ) -> List[SearchResult]:
+        """Answer a whole query block with the kernel :meth:`_search_one`
+        runs, so results and work counters equal sequential ``search``."""
+        wall_tic = time.perf_counter()
+        matrix = self._prepare_query_matrix(queries)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        k = min(int(k), self.num_points)
+        results = self._block_search(matrix, k, **options)
+        attach_block_timing(results, time.perf_counter() - wall_tic)
+        return results
 
     def _adopt_legacy_arrays(self, store) -> None:
         if self._points is not None:

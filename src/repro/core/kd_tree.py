@@ -10,14 +10,14 @@ for the "why Ball-Tree?" design discussion.
 
 The tree uses the classic median split on the widest dimension and the same
 search API as the other indexes (branch-and-bound with a candidate budget).
-Traversal runs on the shared :class:`~repro.engine.traversal.TraversalEngine`
-(stack frontier, children ordered by the smaller box bound), which
-evaluates the box bound for every node in one vectorized pass per query.
+Search runs on the block traversal kernel (:mod:`repro.engine.block`; a
+one-row block for ``search``), children ordered by the smaller box bound,
+with the box bound of every node evaluated in one vectorized pass per
+query.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.index_base import LeafStoredPointsMixin, P2HIndex
 from repro.core.results import SearchResult
-from repro.engine.block import attach_block_timing
 from repro.engine.budget import resolve_budget
 from repro.engine.traversal import TraversalEngine
 from repro.utils.validation import check_positive_int
@@ -168,97 +167,41 @@ class KDTree(LeafStoredPointsMixin, P2HIndex):
     def _make_engine(self) -> TraversalEngine:
         return TraversalEngine.for_kd_tree(self)
 
-    def _search_one(
+    def _block_search(
         self,
-        query: np.ndarray,
+        matrix: np.ndarray,
         k: int,
         *,
         candidate_fraction: Optional[float] = None,
         max_candidates: Optional[int] = None,
         exact: bool = True,
         dtype: Optional[str] = None,
-        **kwargs,
-    ) -> SearchResult:
-        if kwargs:
-            unexpected = ", ".join(sorted(kwargs))
+        **unknown,
+    ) -> List[SearchResult]:
+        """Answer the already-normalized query block ``matrix`` with the
+        box-bound branch-and-bound (one row for ``search``).
+
+        The option handling ``search`` and ``batch_search`` share: budget
+        resolution, the ``exact``/``dtype`` checks, and the hand-off to the
+        fast tier (:mod:`repro.engine.fast`) for ``exact=False``.  KD-Tree
+        has no branch preference and no stage timers, so those options
+        raise ``TypeError`` like any other unknown option.
+        """
+        if unknown:
+            unexpected = ", ".join(sorted(unknown))
             raise TypeError(f"KDTree.search got unexpected options: {unexpected}")
         budget = resolve_budget(candidate_fraction, max_candidates, self.num_points)
         if not exact:
             # repro: allow[REP102] exact=False hand-off to the fast tier;
             # the literal names its default storage dtype.
             return self._engine().fast_kernel(dtype or "float32").search_block(
-                query[None, :], k, budget=budget
-            )[0]
+                matrix, k, budget=budget
+            )
         if dtype is not None:
             raise ValueError(
                 "dtype selects the fast mode's storage precision and "
                 "requires exact=False"
             )
-        return self._engine().search(query, k, budget=budget, order="depth_first")
-
-    # ---------------------------------------------------------- batch kernel
-
-    def _batch_kernel_veto(
-        self,
-        candidate_fraction=None,
-        max_candidates=None,
-        exact: bool = True,
-        dtype=None,
-        **unknown,
-    ) -> Optional[str]:
-        """Why the block traversal kernel cannot cover these search options.
-
-        Candidate budgets are covered (the kernel replays the per-query
-        budget check before every pop, and the KD box bound's lazy per-node
-        evaluation is bit-identical to the vectorized pass, so no value
-        strategy split is needed); unknown options decline the kernel so
-        per-query ``search`` raises its usual ``TypeError``.
-        """
-        if unknown:
-            return "unknown search options: " + ", ".join(sorted(unknown))
-        return None
-
-    def _batch_kernel(
-        self,
-        queries: np.ndarray,
-        k: int,
-        *,
-        candidate_fraction=None,
-        max_candidates=None,
-        exact: bool = True,
-        dtype=None,
-    ) -> List[SearchResult]:
-        """Answer a whole query block with the block traversal kernel.
-
-        Dispatched only for options :meth:`_batch_kernel_veto` accepts;
-        the signature still names every supported option so explicitly
-        passing its default works exactly like per-query ``search``.
-        With ``exact=True`` (default) results and work counters are
-        bit-identical to per-query :meth:`search` (see
-        :mod:`repro.engine.block`), including under
-        ``candidate_fraction`` / ``max_candidates`` budgets; with
-        ``exact=False`` the block runs on the approximate fast GEMM
-        kernel (:mod:`repro.engine.fast`).
-        """
-        wall_tic = time.perf_counter()
-        matrix = self._prepare_query_matrix(queries)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
-        budget = resolve_budget(
-            candidate_fraction, max_candidates, self.num_points
+        return self._engine().block_kernel().search_block(
+            matrix, k, budget=budget
         )
-        if exact:
-            if dtype is not None:
-                raise ValueError(
-                    "dtype selects the fast mode's storage precision and "
-                    "requires exact=False"
-                )
-            kernel = self._engine().block_kernel()
-        else:
-            # repro: allow[REP102] exact=False hand-off to the fast tier;
-            # the literal names its default storage dtype.
-            kernel = self._engine().fast_kernel(dtype or "float32")
-        results = kernel.search_block(matrix, k, budget=budget)
-        attach_block_timing(results, time.perf_counter() - wall_tic)
-        return results

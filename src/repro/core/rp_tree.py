@@ -87,10 +87,10 @@ class RPTree(BallTree):
 
     The search algorithm, branch preferences, and approximate-search budget
     are inherited from :class:`~repro.core.ball_tree.BallTree`; only the
-    construction-time splitting rule differs.  Batches — exact and under
-    ``candidate_fraction`` / ``max_candidates`` budgets — therefore ride
-    the same block traversal kernel (:mod:`repro.engine.block`), with
-    results and work counters bit-identical to per-query :meth:`search`.
+    construction-time splitting rule differs.  ``search`` and batches —
+    exact and under ``candidate_fraction`` / ``max_candidates`` budgets —
+    therefore run the same block traversal kernel
+    (:mod:`repro.engine.block`).
 
     Parameters
     ----------

@@ -1,16 +1,17 @@
 """Query-execution engine shared by every index in the library.
 
 This subpackage owns *how* queries are answered; the index classes under
-:mod:`repro.core` own *what* is indexed.  Three pieces:
+:mod:`repro.core` own *what* is indexed.  The pieces:
 
-* :mod:`repro.engine.traversal` — :class:`TraversalEngine`, the single
-  branch-and-bound implementation behind Ball-Tree, BC-Tree and KD-Tree
-  search, expressing depth-first and best-first traversal over one frontier
-  abstraction (stack vs. heap).
-* :mod:`repro.engine.block` — :class:`BlockTraversalKernel`, the
-  multi-query block DFS that answers whole query blocks with one shared
-  tree walk, bit-identical (results and work counters) to per-query
-  traversal.
+* :mod:`repro.engine.block` — :class:`BlockTraversalKernel`, the one
+  branch-and-bound traversal behind Ball-Tree, BC-Tree, RP-Tree and
+  KD-Tree search: depth-first (stack) or best-first (heap), exact or
+  budgeted, one row for ``search`` or whole query blocks with one shared
+  tree walk for ``batch_search`` — with the same results and work
+  counters either way.
+* :mod:`repro.engine.traversal` — :class:`TraversalEngine`, the tree
+  geometry and node values the kernels walk, plus the cached kernels
+  (including the ``exact=False`` fast tier, :mod:`repro.engine.fast`).
 * :mod:`repro.engine.batch` — :func:`execute_batch` and
   :class:`BatchSearchResult`, the batched path behind every index's
   ``batch_search`` (vectorized schedule seeding, block/hashing kernel

@@ -2,73 +2,62 @@
 
 :func:`execute_batch` is the single batched path every index's
 ``batch_search`` routes through.  It validates the query matrix once,
-derives a load-balanced schedule for the whole batch from one
-``centers[:m] @ Q.T`` matmul (tree indexes), dispatches per-query
-traversals over a worker pool, and aggregates the per-query results into a
+dispatches it one of two ways, and aggregates the per-query results into a
 :class:`BatchSearchResult` (a sequence of per-query
 :class:`~repro.core.results.SearchResult` plus pooled
 :class:`~repro.core.results.SearchStats` and wall/CPU timing).
 
-Indexes that expose a **vectorized batch kernel** — a ``_batch_kernel``
-method answering a whole query block in one call — are dispatched
-differently: instead of pooling per-query ``search`` calls, the engine
-splits the query matrix into one contiguous chunk per worker and hands each
-chunk to the kernel.  The kernels are per-row independent by contract, so
-the chunking cannot change any query's answer.  Two kernel families exist:
+* **Kernel dispatch.**  An index exposing a vectorized ``_batch_kernel`` —
+  a method answering a whole query block in one call — gets one contiguous
+  chunk of the query matrix per worker, and its sequential ``search`` runs
+  the same kernel on a one-row block.  Two kernel families exist: the tree
+  indexes (Ball-Tree, BC-Tree, RP-Tree, KD-Tree) push query blocks down the
+  tree together through the block traversal kernel
+  (:mod:`repro.engine.block`), and the hashing baselines
+  (:mod:`repro.hashing.base`) probe and verify whole blocks with batched
+  table lookups.  Every option these indexes accept goes to the kernel —
+  candidate budgets, ``profile=True``, BC-Tree's sequential scan, and
+  ``exact=False`` (the fast tier, :mod:`repro.engine.fast`) included — and
+  an unknown option raises ``TypeError`` from it, as from ``search``.
+* **Per-query dispatch.**  Every other index (the linear scan, MIPS, the
+  dynamic composite) and any caller-supplied ``search_fn`` (such as
+  :class:`~repro.core.best_first.BestFirstSearcher`'s) pool per-query
+  ``search`` calls, scheduled hardest-first from one ``centers[:m] @ Q.T``
+  seed matmul on tree indexes.
 
-* the hashing baselines (:mod:`repro.hashing.base`) probe and verify whole
-  query blocks with batched table lookups;
-* the tree indexes (Ball-Tree, BC-Tree, KD-Tree) push per-worker query
-  blocks down the tree together through the block traversal kernel
-  (:mod:`repro.engine.block`), which is bit-identical to per-query
-  traversal in both results and work counters.
-
-A kernel index may additionally expose ``_batch_kernel_veto(**kwargs)``,
-returning a human-readable reason string (or None) to veto kernel dispatch
-for search options its kernel does not cover; the batch then runs the
-scheduled per-query path instead, and :func:`kernel_dispatch_reason`
-surfaces the reason so callers can report *why* a configuration fell back.
-The tree indexes use this for ``profile=True`` and BC-Tree's sequential
-scan mode, whose semantics are order-sensitive (see
-:mod:`repro.engine.block`).  Candidate budgets (``candidate_fraction`` /
-``max_candidates``) dispatch through the kernel: it carries a per-query
-verified-candidate count and retires exhausted queries exactly where the
-per-query loop breaks, so the paper's budgeted time–recall sweeps
-(Figures 5-6) run on the fast path too.  An index without a veto hook may
-instead expose a boolean ``_batch_kernel_supports(**kwargs)``; with
-neither, every option combination goes to its kernel.
+:func:`kernel_dispatch_path` reports which path (and, for ``exact=False``
+on a tree index, the fast GEMM kernel) a configuration takes.
 
 Determinism contract
 --------------------
 ``batch_search`` returns **bit-identical** indices and distances to calling
 ``search`` once per query, for every index and every ``n_jobs`` — including
 under ``candidate_fraction`` / ``max_candidates`` budgets.  For per-query
-dispatch this holds because each worker runs exactly the per-query code
-path of ``search``; for kernel dispatch it holds because the sequential
-``search`` of those indexes delegates to the same kernel with a block of
-one query, and every kernel step is per-row independent.  Worker purity —
-a dispatched task callable never mutates ``self`` or globals (pool
-``initializer=`` excepted: planting per-process state is its job) — is
-enforced statically by ``repro check`` rule REP301.
+dispatch this holds because each worker runs exactly ``search``; for
+kernel dispatch it holds because ``search`` runs the same kernel with a
+block of one query, and every kernel step is per-row independent.  Worker
+purity — a dispatched task callable never mutates ``self`` or globals
+(pool ``initializer=`` excepted: planting per-process state is its job) —
+is enforced statically by ``repro check`` rule REP301.
 
 The batch-level seed matmul deliberately does *not* feed inner products
 into traversal: BLAS GEMM results are not bit-reproducible against the
-GEMV/dot kernels the per-query path uses (measured on this build of
-OpenBLAS: ``(C @ Q.T)[:, j]`` differs from ``C @ Q[j]`` in the last ulp,
-and is not even independent of the batch size).  An ulp-perturbed inner
-product can flip a branch-preference comparison or a bound-vs-threshold
-test, which under a candidate budget changes *which* candidates are
-verified — silently breaking the parity guarantee.  The seed matmul is
-therefore used where it cannot perturb results: estimating per-query
-difficulty (how weak the upper-level bounds are) so that hard queries are
-spread evenly across workers.  The batch kernels obey the same rule: any
-quantity that feeds candidate selection (query-table projections, hash
-codes) is computed with the per-query GEMV kernel, never a whole-block
-GEMM.
+GEMV/dot kernels the traversal uses (measured on this build of OpenBLAS:
+``(C @ Q.T)[:, j]`` differs from ``C @ Q[j]`` in the last ulp, and is not
+even independent of the batch size).  An ulp-perturbed inner product can
+flip a branch-preference comparison or a bound-vs-threshold test, which
+under a candidate budget changes *which* candidates are verified —
+silently breaking the parity guarantee.  The seed matmul is therefore used
+where it cannot perturb results: estimating per-query difficulty (how weak
+the upper-level bounds are) so that hard queries are spread evenly across
+workers.  The batch kernels obey the same rule: any quantity that feeds
+candidate selection (query-table projections, hash codes) is computed with
+the per-query GEMV kernel, never a whole-block GEMM.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -187,56 +176,22 @@ def pool_results(
     )
 
 
-def uses_kernel_dispatch(index, **search_kwargs) -> bool:
-    """Whether :func:`execute_batch` will answer via a vectorized kernel.
-
-    True when the index exposes a ``_batch_kernel`` and (if present) its
-    veto/supports hook accepts the given search options; False means
-    per-query dispatch over the worker pool.  Exposed so callers (the
-    eval runner's batch experiment, benchmarks) can report which
-    execution path a configuration actually measures.
-    """
-    return kernel_dispatch_reason(index, **search_kwargs) is None
-
-
-def kernel_dispatch_reason(index, **search_kwargs) -> Optional[str]:
-    """Why :func:`execute_batch` will fall back to per-query dispatch.
-
-    Returns None when the batch will run through the index's vectorized
-    kernel, otherwise a human-readable reason — either the index has no
-    kernel at all, or its veto hook declined these search options.  A
-    silently-vetoed kwarg is otherwise indistinguishable from a kernel run
-    in throughput tables, so the ``run batch`` experiment prints this next
-    to the ``path`` column.
-    """
-    if getattr(index, "_batch_kernel", None) is None:
-        return "index has no vectorized batch kernel"
-    veto = getattr(index, "_batch_kernel_veto", None)
-    if veto is not None:
-        reason = veto(**search_kwargs)
-        return None if reason is None else str(reason)
-    supports = getattr(index, "_batch_kernel_supports", None)
-    if supports is None or supports(**search_kwargs):
-        return None
-    return "index vetoed kernel dispatch for these search options"
-
-
 def kernel_dispatch_path(index, **search_kwargs) -> str:
     """Which execution path :func:`execute_batch` will take.
 
-    Returns ``"per-query"`` when the batch falls back to scheduled
-    per-query dispatch (:func:`kernel_dispatch_reason` says why),
-    ``"fast-gemm"`` when the options select the approximate fast-mode
-    kernel (``exact=False`` on a tree index — float32 storage plus
-    cross-query GEMM, :mod:`repro.engine.fast`), and ``"kernel"`` for
-    every other vectorized batch kernel (the exact block traversal kernel
-    and the hashing baselines' block kernels).
+    Returns ``"per-query"`` when the index has no vectorized batch kernel
+    (scheduled per-query dispatch), ``"fast-gemm"`` when the options
+    select the approximate fast-mode kernel (``exact=False`` on a tree
+    index — float32 storage plus cross-query GEMM,
+    :mod:`repro.engine.fast`), and ``"kernel"`` for every other
+    vectorized batch kernel (the exact block traversal kernel and the
+    hashing baselines' block kernels).
     """
-    if kernel_dispatch_reason(index, **search_kwargs) is not None:
+    if getattr(index, "_batch_kernel", None) is None:
         return "per-query"
     if (
         not search_kwargs.get("exact", True)
-        and getattr(index, "_batch_kernel_veto", None) is not None
+        and getattr(index, "tree", None) is not None
     ):
         return "fast-gemm"
     return "kernel"
@@ -250,7 +205,6 @@ def execute_batch(
     n_jobs: Optional[int] = None,
     executor: str = "thread",
     search_fn: Optional[Callable[[np.ndarray], SearchResult]] = None,
-    block: bool = True,
     pool=None,
     **search_kwargs,
 ) -> BatchSearchResult:
@@ -267,34 +221,28 @@ def execute_batch(
         Top-k size forwarded to every search.
     n_jobs:
         Worker-pool size; ``None`` or 1 runs inline without a pool.  The
-        effective pool is capped at the machine's CPU count — per-query
-        traversal is CPU-bound, so surplus workers only add GIL and
-        scheduler overhead (results are identical either way).
+        effective pool is capped at the machine's CPU count — search is
+        CPU-bound, so surplus workers only add GIL and scheduler overhead
+        (results are identical either way).
     executor:
         ``"thread"`` (default) or ``"process"``.  The process executor
         forks workers that inherit the fitted index and is the right
-        choice when per-query traversal is interpreter-bound and several
-        cores are available; it requires ``search_fn`` to be None.
+        choice when search is interpreter-bound and several cores are
+        available; it requires ``search_fn`` to be None.
     search_fn:
         Optional replacement for ``index.search`` (e.g. a best-first
         searcher or MIPS mode); called as ``search_fn(query)`` and expected
         to honor ``k``/``search_kwargs`` itself via closure.  Supplying it
         disables the vectorized-kernel dispatch.
-    block:
-        If False, vectorized-kernel dispatch is skipped and the batch runs
-        the scheduled per-query path even for kernel-capable indexes
-        (results are identical either way; the flag exists for
-        benchmarking and for callers that need per-query ``search``
-        semantics such as ``TypeError`` on unknown options).
     pool:
         Optional already-running executor to dispatch on instead of
         spawning (and tearing down) a fresh one per call — the mechanism
         behind :class:`repro.api.Searcher`.  A thread pool is used as-is;
         a process pool must have been created with
-        ``initializer=_process_worker_init`` and
-        ``initargs=(index, None, None)`` so every worker holds the fitted
-        index once, and per-call ``k``/options ride along with each task.
-        Results and stats are bit-identical to the per-call pool path.
+        ``initializer=_process_worker_init`` and ``initargs=(index,)`` so
+        every worker holds the fitted index once.  Either way ``k`` and
+        the options ride along with each task, so results and stats are
+        bit-identical to the per-call pool path.
     search_kwargs:
         Extra options forwarded to every ``index.search`` call (or to every
         kernel call when the index exposes ``_batch_kernel``).
@@ -305,14 +253,9 @@ def execute_batch(
         )
     n_jobs = 1 if n_jobs is None else check_positive_int(n_jobs, name="n_jobs")
     workers = min(n_jobs, os.cpu_count() or 1)
-    # Indexes whose kernel covers only part of their search-option space
-    # (the tree indexes: profiling and the sequential BC leaf scan are
-    # order-sensitive and stay per-query; budgets are kernel-covered) veto
-    # kernel dispatch via _batch_kernel_veto and keep the scheduled
-    # per-query path, which still benefits from difficulty scheduling.
-    kernel = None
-    if search_fn is None and block and uses_kernel_dispatch(index, **search_kwargs):
-        kernel = index._batch_kernel
+    kernel = None if search_fn is not None else getattr(
+        index, "_batch_kernel", None
+    )
     # The finiteness scan runs once here for the kernel path (kernels trust
     # the engine's validation); per-query dispatch re-validates every row
     # inside index.search, so scanning the matrix as well would be wasted.
@@ -342,43 +285,26 @@ def execute_batch(
         # even mix of hard and easy queries.
         chunks = [order[offset::workers] for offset in range(workers)]
         chunks = [chunk for chunk in chunks if chunk.size]
-        results = [None] * num_queries
-        if executor == "thread":
-            def run_chunk(chunk):
-                return [(int(pos), search_fn(matrix[pos])) for pos in chunk]
+        with _worker_pool(pool, executor, len(chunks), index) as running:
+            if executor == "thread":
+                def run_chunk(chunk):
+                    return [
+                        (int(pos), search_fn(matrix[pos])) for pos in chunk
+                    ]
 
-            if pool is not None:
-                pair_lists = list(pool.map(run_chunk, chunks))
+                pair_lists = list(running.map(run_chunk, chunks))
             else:
-                with ThreadPoolExecutor(max_workers=len(chunks)) as owned:
-                    pair_lists = list(owned.map(run_chunk, chunks))
-            for pairs in pair_lists:
-                for pos, result in pairs:
-                    results[pos] = result
-        else:
-            if pool is not None:
-                # Persistent pool: workers were initialized with the index
-                # only, so k and the search options travel with each task.
-                pair_lists = list(pool.map(
+                pair_lists = list(running.map(
                     _process_worker_run_opts,
                     [
                         (matrix[chunk], chunk.tolist(), k, search_kwargs)
                         for chunk in chunks
                     ],
                 ))
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=len(chunks),
-                    initializer=_process_worker_init,
-                    initargs=(index, k, search_kwargs),
-                ) as owned:
-                    pair_lists = list(owned.map(
-                        _process_worker_run,
-                        [(matrix[chunk], chunk.tolist()) for chunk in chunks],
-                    ))
-            for pairs in pair_lists:
-                for pos, result in pairs:
-                    results[pos] = result
+        results = [None] * num_queries
+        for pairs in pair_lists:
+            for pos, result in pairs:
+                results[pos] = result
     wall = time.perf_counter() - wall_tic
     cpu = time.process_time() - cpu_tic
     return pool_results(
@@ -420,33 +346,47 @@ def _execute_kernel_batch(
         chunks = [
             chunk for chunk in np.array_split(matrix, workers) if chunk.shape[0]
         ]
-        if executor == "thread":
-            def run_chunk(chunk):
-                return kernel(chunk, k, **search_kwargs)
+        with _worker_pool(pool, executor, len(chunks), index) as running:
+            if executor == "thread":
+                def run_chunk(chunk):
+                    return kernel(chunk, k, **search_kwargs)
 
-            if pool is not None:
-                parts = list(pool.map(run_chunk, chunks))
+                parts = list(running.map(run_chunk, chunks))
             else:
-                with ThreadPoolExecutor(max_workers=len(chunks)) as owned:
-                    parts = list(owned.map(run_chunk, chunks))
-        elif pool is not None:
-            parts = list(pool.map(
-                _process_worker_run_kernel_opts,
-                [(chunk, k, search_kwargs) for chunk in chunks],
-            ))
-        else:
-            with ProcessPoolExecutor(
-                max_workers=len(chunks),
-                initializer=_process_worker_init,
-                initargs=(index, k, search_kwargs),
-            ) as owned:
-                parts = list(owned.map(_process_worker_run_kernel, chunks))
+                parts = list(running.map(
+                    _process_worker_run_kernel_opts,
+                    [(chunk, k, search_kwargs) for chunk in chunks],
+                ))
         results = [result for part in parts for result in part]
     wall = time.perf_counter() - wall_tic
     cpu = time.process_time() - cpu_tic
     return pool_results(
         results, wall_seconds=wall, cpu_seconds=cpu, n_jobs=workers
     )
+
+
+@contextlib.contextmanager
+def _worker_pool(pool, executor: str, workers: int, index):
+    """The caller's long-lived ``pool``, or a fresh per-call executor.
+
+    A fresh process pool plants the fitted index in every worker once
+    (:func:`_process_worker_init`), exactly like a
+    :class:`repro.api.Searcher` session pool, so both run the same task
+    runners with ``k`` and the options carried by each task.
+    """
+    if pool is not None:
+        yield pool
+        return
+    if executor == "thread":
+        owned = ThreadPoolExecutor(max_workers=workers)
+    else:
+        owned = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_process_worker_init,
+            initargs=(index,),
+        )
+    with owned:
+        yield owned
 
 
 def _warm_engine(index) -> None:
@@ -520,34 +460,16 @@ def _difficulty_order(index, matrix: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------- process-pool plumbing
 
 _WORKER_INDEX = None
-_WORKER_K = None
-_WORKER_KWARGS = None
 
 
-def _process_worker_init(index, k, search_kwargs) -> None:
-    global _WORKER_INDEX, _WORKER_K, _WORKER_KWARGS
+def _process_worker_init(index) -> None:
+    """Pool initializer: hold the fitted index once per worker process."""
+    global _WORKER_INDEX
     _WORKER_INDEX = index
-    _WORKER_K = k
-    _WORKER_KWARGS = search_kwargs
-
-
-def _process_worker_run(payload):
-    rows, positions = payload
-    return _process_worker_run_opts((rows, positions, _WORKER_K, _WORKER_KWARGS))
-
-
-def _process_worker_run_kernel(rows):
-    return _process_worker_run_kernel_opts((rows, _WORKER_K, _WORKER_KWARGS))
 
 
 def _process_worker_run_opts(payload):
-    """Per-query chunk runner for persistent pools (k/options per task).
-
-    A long-lived pool (:class:`repro.api.Searcher`) initializes its workers
-    once with the index only, so every task carries its own ``k`` and
-    search options instead of reading the init-time globals.  The search
-    call itself is identical to :func:`_process_worker_run`.
-    """
+    """Per-query chunk runner (``k`` and the search options per task)."""
     rows, positions, k, search_kwargs = payload
     return [
         (pos, _WORKER_INDEX.search(row, k=k, **search_kwargs))
@@ -556,6 +478,6 @@ def _process_worker_run_opts(payload):
 
 
 def _process_worker_run_kernel_opts(payload):
-    """Kernel chunk runner for persistent pools (k/options per task)."""
+    """Kernel chunk runner (``k`` and the search options per task)."""
     rows, k, search_kwargs = payload
     return _WORKER_INDEX._batch_kernel(rows, k, **search_kwargs)

@@ -1,29 +1,34 @@
-"""Block-vectorized multi-query tree traversal kernel.
+"""The tree traversal: a block-vectorized multi-query branch-and-bound.
 
-:class:`BlockTraversalKernel` answers a whole *block* of queries with one
-depth-first pass over the tree instead of one traversal per query.  The
-frontier holds ``(node, query-group)`` entries: a node is popped once per
-group, its lower bound is compared against every live query's pruning
-threshold in one vectorized operation, queries whose bound prunes the
-subtree are masked out, and a leaf is scanned for all surviving queries of
-the group in one batched event (shared 2-D ball-cut and cone-mask
-evaluation, one distance GEMV per surviving query).
+:class:`BlockTraversalKernel` is the one traversal behind every tree
+index's ``search`` *and* ``batch_search``: ``search`` answers a one-row
+block, ``batch_search`` hands each worker a contiguous chunk.  A block of
+queries descends the tree together in one depth-first pass.  The frontier
+holds ``(node, query-group)`` entries: a node is popped once per group,
+its lower bound is compared against every live query's pruning threshold
+in one vectorized operation, queries whose bound prunes the subtree are
+masked out, and a leaf is scanned for all surviving queries of the group in
+one batched event (shared 2-D ball-cut and cone-mask evaluation, one
+distance GEMV per surviving query).  Groups that shrink below
+:data:`SCALAR_GROUP_CUTOFF` — and every one-row block — finish on the
+scalar per-query descent (``scalar_descend``: the paper's Algorithms 3 and
+5 over plain Python lists).
 
-Bit-identity contract
----------------------
-The kernel returns **bit-identical** results *and*
-:class:`~repro.core.results.SearchStats` work counters to running the
-per-query :meth:`TraversalEngine.search` once per query.  Two design rules
-make this hold exactly:
+Row-independence contract
+-------------------------
+A query's results *and* :class:`~repro.core.results.SearchStats` work
+counters are bit-identical whichever block it is answered in — alone (as
+``search`` runs it) or among any others.  Two design rules make this hold
+exactly:
 
 1. **No cross-query GEMM feeds any decision or result.**  BLAS GEMM results
-   differ from the GEMV kernel the per-query path uses in the last ulp (and
-   are not even batch-size independent — measured on this build of
-   OpenBLAS), so every center inner product is computed with the same
-   per-query ``centers @ q`` GEMV and every leaf distance with the same
-   ``points_leaf[start:start + cut] @ q`` slice GEMV as sequential search.
-   Cross-query vectorization is restricted to *elementwise* operations on
-   stacked per-query values (IEEE elementwise arithmetic is bit-deterministic
+   differ from the GEMV kernel in the last ulp (and are not even
+   batch-size independent — measured on this build of OpenBLAS), so every
+   center inner product is computed with the per-query ``centers @ q``
+   GEMV and every leaf distance with the ``points_leaf[start:start + cut]
+   @ q`` slice GEMV, on the group and scalar paths alike.  Cross-query
+   vectorization is restricted to *elementwise* operations on stacked
+   per-query values (IEEE elementwise arithmetic is bit-deterministic
    regardless of array shape) and to control flow.
 
 2. **Each query's node-visit order equals its solo DFS order.**  The
@@ -35,64 +40,81 @@ make this hold exactly:
    once (later, with their post-sibling thresholds) for the right-first
    queries.  Queries are mutually independent, so interleaving the
    subtree visits of disjoint groups on one shared stack is free; the
-   per-query subsequence of events is exactly the solo DFS.  Groups that
-   shrink below :data:`SCALAR_GROUP_CUTOFF` finish on a scalar per-query
-   descent (same arithmetic, list-based) where vectorization would cost
-   more than it saves.
+   per-query subsequence of events is exactly the one-row descent.
 
-Because the per-query work is identical, the speedup comes purely from
-amortizing interpreter and dispatch overhead: one frontier walk per group
-instead of per query, 2-D bound/cone masks shared across a leaf group, and
-a lean inlined top-k heap that replicates
+Because the per-query work is identical, the speedup of a block comes
+purely from amortizing interpreter and dispatch overhead: one frontier
+walk per group instead of per query, 2-D bound/cone masks shared across a
+leaf group, and a lean inlined top-k heap that replicates
 :meth:`~repro.core.results.TopKCollector.offer_batch` exactly (including
-its tie-breaking arrival order).
+its tie-breaking arrival order).  The correctness oracle is the linear
+scan: the property suite checks every tree family against brute force.
 
 Scope
 -----
-The kernel covers depth-first search — exact *and* under a candidate
-budget — for Ball-Tree, BC-Tree (vectorized scan mode, with or without the
+Ball-Tree, BC-Tree (with or without the ball/cone bounds and the
 collaborative inner-product accounting — the counter is logical either
-way), and KD-Tree.  ``profile=True``, BC-Tree's ``scan_mode="sequential"``,
-and best-first traversal have order-sensitive semantics of their own and
-fall back to per-query dispatch in :mod:`repro.engine.batch`.
+way), RP-Tree and KD-Tree, exact *and* under a candidate budget.  Three
+modes have order-sensitive semantics of their own and run one query per
+sub-block, so every query takes the scalar descent from the root:
+
+* ``profile=True`` — per-stage :func:`time.perf_counter` timers
+  (``"lower_bounds"`` and ``"verification"``) in the whole-leaf scalar
+  scans (the point-by-point sequential scan records no stage time);
+* BC-Tree's ``scan_mode="sequential"`` — Algorithm 5's point-by-point
+  leaf scan, whose threshold tightens *inside* a leaf;
+* ``order="best_first"`` — a min-heap frontier keyed by the node lower
+  bound (``scalar_best_first``), used by
+  :class:`~repro.core.best_first.BestFirstSearcher`.
 
 Candidate budgets
 -----------------
-The per-query path checks ``candidates_verified >= budget`` before every
+The scalar descent checks ``candidates_verified >= budget`` before every
 frontier pop and stops the whole traversal at the first failure — the leaf
 scan that crossed the budget is *not* truncated, so the counter may
-overshoot mid-leaf.  The kernel replays exactly that: a per-query verified
-count is carried next to the thresholds, every ``(node, query-group)`` pop
-first retires the members whose count has reached the budget (they stop
-accruing ``nodes_visited`` from that event on, exactly like the solo
-``break``), and leaf events still offer their full slice.  Because each
-query's event sequence equals its solo DFS (rule 2 above), the count seen
-at each pop equals the solo count at the same point, so the first-B
-candidate sequence — and with it every result and counter — is identical.
+overshoot mid-leaf.  The group frontier replays exactly that: a per-query
+verified count is carried next to the thresholds, every ``(node,
+query-group)`` pop first retires the members whose count has reached the
+budget (they stop accruing ``nodes_visited`` from that event on, exactly
+like the solo ``break``), and leaf events still offer their full slice.
+Because each query's event sequence equals its solo DFS (rule 2 above),
+the count seen at each pop equals the solo count at the same point, so the
+first-B candidate sequence — and with it every result and counter — is
+identical.
 
-One more arithmetic subtlety keeps the bits in line: for
-``budget < num_nodes`` the per-query path evaluates node inner products
-*lazily* with one ``centers[node] @ q`` dot per touched node, and on this
-BLAS build the ddot kernel is **not** bit-identical to the rows of the
-eager ``centers @ q`` GEMV (nor is a GEMV over a row slice identical to
-the same rows of the full GEMV — both measured).  The kernel therefore
-mirrors the per-query strategy rule exactly: eager GEMV precompute when
-``budget >= num_nodes``, per-``(node, query)`` lazy ddots (the same
-:class:`~repro.engine.traversal._LazyNodeValues` arithmetic) below it.
-KD-Tree has no center inner products and its lazy per-node box bound is
-bit-identical to the rows of the vectorized bound pass (elementwise
+One more arithmetic subtlety keeps the bits in line: for ``budget <
+num_nodes`` node inner products are evaluated *lazily* with one
+``centers[node] @ q`` dot per touched node
+(:meth:`~repro.engine.traversal.TraversalEngine._lazy_node_values`), and
+on this BLAS build the ddot kernel is **not** bit-identical to the rows of
+the eager ``centers @ q`` GEMV (nor is a GEMV over a row slice identical
+to the same rows of the full GEMV — both measured).  The strategy rule
+depends only on ``(budget, tree)``, so every block size picks the same
+one.  KD-Tree has no center inner products and its lazy per-node box bound
+is bit-identical to the rows of the vectorized bound pass (elementwise
 products plus NumPy's shape-independent pairwise row sums), so the KD
 kernel keeps the eager precompute under every budget.
+
+This module is on the **exact path**: ``repro check`` statically enforces
+that it never imports the fast tier (rule REP101) and never introduces a
+float32 dtype (REP102).
 """
 
 from __future__ import annotations
 
 import heapq
+from time import perf_counter
 from typing import List
 
 import numpy as np
 
-from repro.core.bounds import cone_prune_mask_block, query_angle_terms_block
+from repro.core.bounds import (
+    cone_prune_mask_block,
+    point_ball_bound,
+    point_cone_bound,
+    query_angle_terms,
+    query_angle_terms_block,
+)
 from repro.core.policies import BranchPreference
 from repro.core.results import SearchResult, SearchStats
 
@@ -120,7 +142,7 @@ SCALAR_GROUP_CUTOFF = 6
 
 
 class BlockTraversalKernel:
-    """Multi-query DFS over one fitted :class:`TraversalEngine`.
+    """Multi-query branch-and-bound over one fitted :class:`TraversalEngine`.
 
     Built (and cached) by :meth:`TraversalEngine.block_kernel`; holds only
     references to the engine's arrays plus the static leaf geometry, so it
@@ -149,31 +171,39 @@ class BlockTraversalKernel:
         *,
         preference=None,
         budget: float = _INF,
+        order: str = "depth_first",
+        profile: bool = False,
     ) -> List[SearchResult]:
         """Answer every row of the already-normalized query ``matrix``.
 
         Parameters
         ----------
         matrix:
-            Normalized augmented queries, shape ``(B, d)``.
+            Normalized augmented queries, shape ``(B, d)`` (one row for a
+            tree index's ``search``).
         k:
             Top-k size (already clamped to the index size).
         preference:
-            Branch preference overriding the engine default.
+            Branch preference overriding the engine default (depth-first
+            order only).
         budget:
             Per-query candidate budget from
             :func:`repro.engine.budget.resolve_budget` (``inf`` = exact
-            search).  Each query stops traversing — results and counters
-            bit-identical to per-query ``search`` with the same budget —
-            once its verified-candidate count reaches it.
+            search).  Each query stops traversing once its
+            verified-candidate count reaches it.
+        order:
+            ``"depth_first"`` (stack frontier, children in branch-preference
+            order) or ``"best_first"`` (min-heap frontier keyed by the node
+            lower bound).
+        profile:
+            Record per-stage wall time (``"lower_bounds"`` and
+            ``"verification"``) into every result's ``stats.stage_seconds``.
         """
-        engine = self._engine
-        if engine._sequential_leaf_scan:
+        if order not in ("depth_first", "best_first"):
             raise ValueError(
-                "the block kernel only supports the vectorized leaf scan; "
-                "sequential scan mode tightens thresholds inside a leaf and "
-                "must run per-query"
+                f"order must be 'depth_first' or 'best_first', got {order!r}"
             )
+        engine = self._engine
         preference = (
             engine.default_preference
             if preference is None
@@ -182,12 +212,19 @@ class BlockTraversalKernel:
         num_queries = matrix.shape[0]
         if num_queries == 0:
             return []
-        block = max(1, min(BLOCK_QUERIES, self._block_queries()))
+        best_first = order == "best_first"
+        if best_first or profile or engine._sequential_leaf_scan:
+            # Order-sensitive modes: one query per sub-block, so every
+            # query runs the scalar descent from the root.
+            block = 1
+        else:
+            block = max(1, min(BLOCK_QUERIES, self._block_queries()))
         results: List[SearchResult] = []
         for start in range(0, num_queries, block):
             results.extend(
                 self._run_block(
-                    matrix[start: start + block], k, preference, budget
+                    matrix[start: start + block], k, preference, budget,
+                    best_first, profile,
                 )
             )
         return results
@@ -208,7 +245,7 @@ class BlockTraversalKernel:
 
     # ------------------------------------------------------------ block DFS
 
-    def _run_block(self, Q, k, preference, budget=_INF):
+    def _run_block(self, Q, k, preference, budget, best_first, profile):
         engine = self._engine
         num_nodes = engine.num_nodes
         B = Q.shape[0]
@@ -230,19 +267,20 @@ class BlockTraversalKernel:
             center_norms = engine._center_norms
 
         budgeted = budget != _INF
-        # Same strategy rule as TraversalEngine.search: under a tight budget
-        # the per-query path evaluates node inner products lazily with one
-        # ddot per touched node, and ddot is not bit-identical to the rows
-        # of the eager GEMV on this BLAS — so the kernel must follow suit.
-        # KD-Tree (no centers) keeps the eager precompute under any budget:
-        # its lazy per-node box bound is bit-identical to the rows of the
-        # vectorized pass (elementwise products + NumPy's shape-independent
-        # pairwise row sums).
+        # The node-value strategy rule: under a tight budget node inner
+        # products are evaluated lazily with one ddot per touched node, and
+        # ddot is not bit-identical to the rows of the eager GEMV on this
+        # BLAS, so the rule may depend only on (budget, tree).  KD-Tree (no
+        # centers) keeps the eager precompute under any budget: its lazy
+        # per-node box bound is bit-identical to the rows of the vectorized
+        # pass (elementwise products + NumPy's shape-independent pairwise
+        # row sums).
         lazy_values = budgeted and budget < num_nodes and centers is not None
 
-        # -- per-query preparation: same GEMV / elementwise kernels as
-        # TraversalEngine.search, stacked into (B, nodes) matrices (eager
-        # strategy), or the same per-node ddot closures (lazy strategy).
+        # -- per-query preparation: per-query GEMV / elementwise kernels,
+        # stacked into (B, nodes) matrices (eager strategy), or per-node
+        # ddot closures (lazy strategy).
+        tic = perf_counter() if profile else 0.0
         qn = np.empty(B)
         if centers is not None and not lazy_values:
             IPS = np.empty((B, num_nodes))
@@ -265,8 +303,14 @@ class BlockTraversalKernel:
                 qn[b] = float(np.linalg.norm(Q[b]))
                 BOUNDS[b] = engine._box_bounds(Q[b])
             KEYS = BOUNDS
-        # node-major copies: frontier gathers touch one contiguous row
-        if lazy_values:
+        # per-query stage timers (profiling runs one-row blocks, so the
+        # prologue above is that row's node-bound stage)
+        stage_lb = [(perf_counter() - tic) / B if profile else 0.0] * B
+        stage_ver = [0.0] * B
+        # node-major copies: frontier gathers touch one contiguous row (a
+        # one-row block goes straight to the scalar descent, which reads
+        # per-query lists instead)
+        if lazy_values or B == 1:
             BT = KT = AT = IPT = None
         else:
             BT = np.ascontiguousarray(BOUNDS.T)
@@ -310,9 +354,8 @@ class BlockTraversalKernel:
 
         if lazy_values:
             for q in range(B):
-                # The exact lazy closures TraversalEngine.search builds for
-                # budget < num_nodes — one shared construction site, so the
-                # two paths cannot drift apart arithmetically.
+                # The engine's lazy closures: one shared construction site
+                # for the per-node ddot arithmetic.
                 ips_q, bounds_q, keys_q = engine._lazy_node_values(
                     Q[q], qn_list[q], preference
                 )
@@ -321,6 +364,7 @@ class BlockTraversalKernel:
                 krow_cache[q] = keys_q
 
         heappush = heapq.heappush
+        heappop = heapq.heappop
         heapreplace = heapq.heapreplace
 
         max_leaf = self._max_leaf
@@ -337,9 +381,9 @@ class BlockTraversalKernel:
             ``base``.  Only the top-k cut, the stable ascending sort, and
             the per-candidate heap pushes — the exact arrival order
             ``offer_batch`` produces — remain.  The partition and sort run
-            on the same distance array (same values, same order) the
-            per-query path builds, so their selections are identical, and
-            the ``base`` gather is deferred to the at-most-k finalists.
+            on one query's own distance array, so their selections do not
+            depend on the block, and the ``base`` gather is deferred to the
+            at-most-k finalists.
             """
             heap = heaps[q]
             if dm.shape[0] > k:
@@ -368,14 +412,28 @@ class BlockTraversalKernel:
             thr_list[q] = thr
             return thr
 
+        def offer_slice(q, base, distances, thr, keep=None):
+            """Offer one query's leaf slice: only distances strictly below
+            the threshold (and, after a cone filter, in ``keep``) can enter
+            the heap."""
+            if thr == _INF:
+                return offer_all(q, base, None, distances)
+            below = distances < thr
+            if keep is not None:
+                below &= keep
+            pos = below.nonzero()[0]
+            if pos.shape[0] == 0:
+                return thr
+            return offer_all(q, base, pos, distances.take(pos))
+
         def offer_rows_unfiltered(live_list, base, D, g, width):
             """Offer every distance of ``D``'s rows (no thresholds yet).
 
             Used by the all-infinite-threshold leaf events, where every
             group member's candidate set is the *whole* row: the 2-D
-            partition/sort then runs on exactly the arrays the per-query
-            path would partition row by row, so the tie selection at the
-            k-th value is identical, at one NumPy call for the whole group
+            partition/sort then runs on exactly the arrays a one-row block
+            would partition row by row, so the tie selection at the k-th
+            value is identical, at one NumPy call for the whole group
             instead of several per member.
             """
             if width > k:
@@ -413,34 +471,61 @@ class BlockTraversalKernel:
         # ------------------------------------------------- scalar leaf scans
 
         def scan_scalar_pruned(node, q, thr, qnorm, iprow, qrow):
-            """_scan_pruned for one query (same slices, same operations)."""
+            """Algorithm 5's ``ScanWithPruning`` for one query.
+
+            The leaf's points are sorted by descending ``r_x``, so the ball
+            bound is non-decreasing along the leaf and one ``searchsorted``
+            prunes the whole tail; the cone bound then filters the
+            survivors elementwise, at the leaf-entry threshold.
+            """
             nleaves[q] += 1
             s = start_arr[node]
             e = end_arr[node]
             size = e - s
             ip_node = iprow[node]
-            abs_ip = ip_node if ip_node >= 0.0 else -ip_node
+            if profile:
+                tic = perf_counter()
             cut = size
             if use_ball and thr != _INF:
                 if thr <= 0.0:
                     cut = 0
                 else:
+                    # max(|ip| - ||q|| r_x, 0) >= thr, with thr > 0, is
+                    # unaffected by the flooring at zero, so the unfloored
+                    # (ascending) bound array feeds searchsorted directly.
+                    abs_ip = ip_node if ip_node >= 0.0 else -ip_node
                     ball = abs_ip - qnorm * point_radius[s:e]
                     cut = int(ball.searchsorted(thr, side="left"))
                 pball[q] += size - cut
+            if profile:
+                toc = perf_counter()
+                stage_lb[q] += toc - tic
             if cut == 0:
                 return thr
+            # One contiguous GEMV over the whole surviving prefix: points
+            # the cone bound prunes below get a distance computed for free
+            # inside the same BLAS call, and only survivors are offered.
             distances = np.abs(points_leaf[s: s + cut] @ qrow)
+            if profile:
+                tic = perf_counter()
+                stage_ver[q] += tic - toc
+            keep = None
+            verified = cut
+            # The cone bound costs a handful of vectorized operations per
+            # leaf; when only a few points survive the ball bound,
+            # verifying them directly is cheaper than evaluating it.
             if cut > 8 and use_cone and thr != _INF:
-                cn = center_norms[node]
-                if cn <= 0.0:
-                    q_cos, q_sin = 0.0, qnorm
-                else:
-                    q_cos = ip_node / cn
-                    radicand = qnorm * qnorm - q_cos * q_cos
-                    q_sin = float(np.sqrt(radicand)) if radicand > 0.0 else 0.0
+                q_cos, q_sin = query_angle_terms(
+                    ip_node, qnorm, center_norms[node]
+                )
                 prod = q_cos * point_cos[s: s + cut]
                 scaled = q_sin * point_sin[s: s + cut]
+                # Theorem 3's case analysis, simplified for thr > 0: the
+                # case-1 bound cos(theta + phi) prunes when q_cos > 0,
+                # x_cos > 0 and cos_sum >= thr (cos_sum > 0 is then
+                # implied); the case-2 bound -cos(theta - phi) prunes when
+                # cos_diff <= -thr (which implies cos_diff < 0 and, since
+                # cos_sum <= cos_diff, rules case 1 out).
                 if q_cos > 0.0:
                     pruned = (
                         point_cos_pos[s: s + cut] & (prod - scaled >= thr)
@@ -449,51 +534,81 @@ class BlockTraversalKernel:
                     pruned = prod + scaled <= -thr
                 num_pruned = int(np.count_nonzero(pruned))
                 if num_pruned:
-                    pcone[q] += int(num_pruned)
-                    m = cut - int(num_pruned)
-                    if m == 0:
-                        return thr
-                    cand[q] += m
-                    offer_mask = ~pruned
-                    offer_mask &= distances < thr
-                    pos = offer_mask.nonzero()[0]
-                    if pos.shape[0] == 0:
-                        return thr
-                    return offer_all(
-                        q, perm[s: s + cut], pos, distances.take(pos)
-                    )
-            cand[q] += cut
-            if thr != _INF:
-                pos = (distances < thr).nonzero()[0]
-                if pos.shape[0] == 0:
-                    return thr
-                return offer_all(
-                    q, perm[s: s + cut], pos, distances.take(pos)
-                )
-            return offer_all(q, perm[s: s + cut], None, distances)
+                    pcone[q] += num_pruned
+                    verified = cut - num_pruned
+                    keep = ~pruned
+            if profile:
+                stage_lb[q] += perf_counter() - tic
+            cand[q] += verified
+            return offer_slice(q, perm[s: s + cut], distances, thr, keep)
+
+        def scan_scalar_sequential(node, q, thr, qnorm, iprow, qrow):
+            """``ScanWithPruning`` point by point, exactly as Algorithm 5
+            writes it (BC-Tree ``scan_mode="sequential"``).
+
+            The threshold tightens inside the leaf, so slightly fewer
+            candidates are verified than by the vectorized scan, at a much
+            higher interpreter cost, for the same neighbors.  The scan has
+            no per-point stage timers: under ``profile=True`` only the
+            node-bound prologue is timed.
+            """
+            nleaves[q] += 1
+            e = end_arr[node]
+            ip_node = iprow[node]
+            q_cos, q_sin = query_angle_terms(
+                ip_node, qnorm, center_norms[node]
+            )
+            heap = heaps[q]
+            for pos in range(start_arr[node], e):
+                if use_ball and float(
+                    point_ball_bound(ip_node, qnorm, point_radius[pos])
+                ) >= thr:
+                    # Remaining points have larger or equal bounds: batch
+                    # prune the tail.
+                    pball[q] += e - pos
+                    break
+                if use_cone and point_cone_bound(
+                    q_cos, q_sin, point_cos[pos], point_sin[pos]
+                ) >= thr:
+                    pcone[q] += 1
+                    continue
+                dist = float(abs(points_leaf[pos] @ qrow))
+                cand[q] += 1
+                # TopKCollector.offer
+                if len(heap) < k:
+                    heappush(heap, (-dist, int(perm[pos])))
+                    if len(heap) == k:
+                        thr = -heap[0][0]
+                elif dist < thr:
+                    heapreplace(heap, (-dist, int(perm[pos])))
+                    thr = -heap[0][0]
+            thr_list[q] = thr
+            return thr
 
         def scan_scalar_exhaustive(node, q, thr, qnorm, iprow, qrow):
-            """_scan_exhaustive for one query."""
+            """Verify every point of the leaf (Algorithm 3's
+            ``ExhaustiveScan``) for one query."""
             nleaves[q] += 1
             s = start_arr[node]
             e = end_arr[node]
             cand[q] += e - s
+            if profile:
+                tic = perf_counter()
             distances = np.abs(points_leaf[s:e] @ qrow)
-            if thr != _INF:
-                pos = (distances < thr).nonzero()[0]
-                if pos.shape[0] == 0:
-                    return thr
-                return offer_all(
-                    q, perm[s:e], pos, distances.take(pos)
-                )
-            return offer_all(q, perm[s:e], None, distances)
+            thr = offer_slice(q, perm[s:e], distances, thr)
+            if profile:
+                stage_ver[q] += perf_counter() - tic
+            return thr
 
-        scan_scalar = (
-            scan_scalar_pruned if pruned_scan else scan_scalar_exhaustive
-        )
+        if not pruned_scan:
+            scan_scalar = scan_scalar_exhaustive
+        elif engine._sequential_leaf_scan:
+            scan_scalar = scan_scalar_sequential
+        else:
+            scan_scalar = scan_scalar_pruned
 
-        def scalar_descend(node, q):
-            """Finish one query's DFS from ``node`` (solo loop, solo order)."""
+        def scalar_rows(q):
+            """One query's bound list, building its row caches on first use."""
             br = brow_cache[q]
             if br is None:
                 br = brow_cache[q] = BOUNDS[q].tolist()
@@ -501,23 +616,28 @@ class BlockTraversalKernel:
                     br if KEYS is BOUNDS else KEYS[q].tolist()
                 )
                 iprow_cache[q] = None if IPS is None else IPS[q].tolist()
+            return br
+
+        def scalar_descend(node, q):
+            """Finish one query's DFS from ``node`` (solo loop, solo order)."""
+            br = scalar_rows(q)
             kr = krow_cache[q]
             ipr = iprow_cache[q]
             qrow = Q[q]
             thr = thr_list[q]
             qnorm = qn_list[q]
-            if budgeted:
-                verified = int(VER[q])
+            # verified count = offset + cand[q]; the query stops dead (no
+            # visit counted) once it reaches the budget, even when the last
+            # leaf scan overshot it
+            offset = int(VER[q]) - cand[q] if budgeted else 0
+            limit = budget - offset
             nvq = 0
             exq = 0
             stack = [node]
             push = stack.append
             pop = stack.pop
             while stack:
-                # same pre-pop budget check as _run_depth_first: the query
-                # stops dead (no visit counted) once its count reaches the
-                # budget, even when the last leaf scan overshot it
-                if budgeted and verified >= budget:
+                if cand[q] >= limit:
                     break
                 nd = pop()
                 nvq += 1
@@ -525,12 +645,7 @@ class BlockTraversalKernel:
                     continue
                 left = left_child[nd]
                 if left == NO_CHILD:
-                    if budgeted:
-                        before = cand[q]
-                        thr = scan_scalar(nd, q, thr, qnorm, ipr, qrow)
-                        verified += cand[q] - before
-                    else:
-                        thr = scan_scalar(nd, q, thr, qnorm, ipr, qrow)
+                    thr = scan_scalar(nd, q, thr, qnorm, ipr, qrow)
                     continue
                 right = right_child[nd]
                 exq += 1
@@ -540,11 +655,55 @@ class BlockTraversalKernel:
                 else:
                     push(left)
                     push(right)
+            finish_scalar(q, nvq, exq, thr, offset)
+
+        def scalar_best_first(node, q):
+            """One query's best-first search from ``node``: a min-heap
+            frontier keyed by the node lower bound.
+
+            Frontier bounds only grow along any root-to-node path, so the
+            first popped bound at or above the pruning threshold ends the
+            whole search; children are pushed only while still below it.
+            """
+            br = scalar_rows(q)
+            ipr = iprow_cache[q]
+            qrow = Q[q]
+            thr = thr_list[q]
+            qnorm = qn_list[q]
+            offset = int(VER[q]) - cand[q] if budgeted else 0
+            limit = budget - offset
+            nvq = 0
+            exq = 0
+            tiebreak = 0  # insertion order, so the heap never compares deeper
+            frontier = [(br[node], 0, node)]
+            while frontier:
+                if cand[q] >= limit:
+                    break
+                bound, _, nd = heappop(frontier)
+                if bound >= thr:
+                    break
+                nvq += 1
+                left = left_child[nd]
+                if left == NO_CHILD:
+                    thr = scan_scalar(nd, q, thr, qnorm, ipr, qrow)
+                    continue
+                right = right_child[nd]
+                exq += 1
+                for child in (left, right):
+                    if br[child] < thr:
+                        tiebreak += 1
+                        heappush(frontier, (br[child], tiebreak, child))
+            finish_scalar(q, nvq, exq, thr, offset)
+
+        def finish_scalar(q, nvq, exq, thr, offset):
+            """Fold a scalar descent's local state back into the block."""
             nv[q] += nvq
             exps[q] += exq
             THR[q] = thr
             if budgeted:
-                VER[q] = verified
+                VER[q] = offset + cand[q]
+
+        descend = scalar_best_first if best_first else scalar_descend
 
         # -------------------------------------------------- group leaf scans
 
@@ -694,7 +853,7 @@ class BlockTraversalKernel:
 
             A group mixes finite and infinite thresholds only around each
             query's first scanned leaf; the two subsets are independent, so
-            scanning them one after the other is exactly the per-query
+            scanning them one after the other is exactly the one-row
             semantics.
             """
             thr_g = THR.take(live)
@@ -709,7 +868,12 @@ class BlockTraversalKernel:
 
         # --------------------------------------------------- shared frontier
 
-        stack = [(0, np.arange(B, dtype=np.int64))]
+        if B == 1:
+            # a one-row block (every ``search`` call) is one scalar descent
+            descend(0, 0)
+            stack = []
+        else:
+            stack = [(0, np.arange(B, dtype=np.int64))]
         while stack:
             node, qs = stack.pop()
             if budgeted:
@@ -723,7 +887,7 @@ class BlockTraversalKernel:
                         continue
             n = qs.shape[0]
             if n == 1:
-                scalar_descend(node, int(qs[0]))
+                descend(node, int(qs[0]))
                 continue
             nv_arr[qs] += 1
             if lazy_values:
@@ -795,6 +959,9 @@ class BlockTraversalKernel:
             stats.points_pruned_ball = pball[q] + int(pball_arr[q])
             stats.points_pruned_cone = pcone[q] + int(pcone_arr[q])
             stats.leaves_scanned = nleaves[q] + int(nleaves_arr[q])
+            if profile:
+                stats.stage_seconds["lower_bounds"] = stage_lb[q]
+                stats.stage_seconds["verification"] = stage_ver[q]
             heap = heaps[q]
             if heap:
                 pairs = sorted(((-neg, idx) for neg, idx in heap))

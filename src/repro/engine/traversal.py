@@ -1,69 +1,46 @@
-"""Unified branch-and-bound traversal for every tree index.
+"""Tree geometry and node values shared by every tree kernel.
 
-Historically each index carried its own copy of the search loop: Ball-Tree
-DFS (Algorithm 3), BC-Tree DFS with point-level pruning (Algorithm 5), the
-best-first variant, and the KD-Tree box-bound DFS.  The four loops differed
-only in three places — how node lower bounds are computed, how the two
-children of an expanded node are ordered, and what happens at a leaf — yet
-each re-implemented budget handling, the collaborative inner-product
-bookkeeping (Lemma 2 / Theorem 5), and candidate collection.
+Each tree index (Ball-Tree, BC-Tree, RP-Tree, KD-Tree) is searched by one
+traversal, the block kernel in :mod:`repro.engine.block`: ``search`` runs
+it on a one-row block, ``batch_search`` on worker-sized blocks, and the
+paper's depth-first branch-and-bound (Algorithms 3 and 5), best-first
+order, BC-Tree's sequential leaf scan and ``profile=True`` are all modes of
+that one loop.  :class:`TraversalEngine` is what the kernels walk:
 
-:class:`TraversalEngine` is now the single implementation.  It expresses
-both traversal orders over one *frontier* abstraction:
+* the flat tree geometry of one fitted index — per-node arrays mirrored
+  as plain Python lists (the interpreter-bound scalar descent avoids NumPy
+  scalar boxing), node centers and radii or KD boxes, the leaf-ordered
+  point copy, and BC-Tree's per-point leaf structures;
+* the node-value rule: :meth:`TraversalEngine._lazy_node_values` (one
+  ``centers[node] @ q`` ddot per touched node, for tight budgets) and
+  :meth:`TraversalEngine._box_bounds` are the single source of node
+  values, because ddot and GEMV differ in the last ulp on this BLAS and
+  any second construction site could drift;
+* the per-engine caches of the exact block kernel and the fast tier
+  (:meth:`~TraversalEngine.block_kernel`,
+  :meth:`~TraversalEngine.fast_kernel`, :meth:`~TraversalEngine.fast_arrays`).
 
-* ``order="depth_first"`` — a LIFO stack; children of an expanded node are
-  pushed in branch-preference order (paper default).
-* ``order="best_first"`` — a min-heap keyed by the node lower bound; the
-  globally most promising node is expanded next, and the search terminates
-  as soon as the smallest frontier bound reaches the pruning threshold.
-
-Per query, the engine evaluates every node's center inner product and lower
-bound in one vectorized pass (a single ``centers @ q`` GEMV plus a handful
-of elementwise operations) instead of one NumPy scalar dot per visited
-node.  This is faster than both per-node strategies of the paper's cost
-model, so the ``center_inner_products`` counter keeps reporting the paper's
-*logical* cost: one inner product for the root plus, per expanded node,
-one (with Lemma 2's collaborative derivation) or two (without).  The
-counters therefore still reproduce Theorem 5's measurements while the
-engine is free to batch the arithmetic.
-
-Determinism contract
---------------------
-For a fixed fitted index and query, the engine performs exactly the same
-floating-point operations regardless of how the query was submitted
-(``search`` or ``batch_search``, any ``n_jobs``).  This is what makes the
-parallel batch path bit-identical to sequential search — see
-:mod:`repro.engine.batch` for why batched GEMM results must *not* leak into
-traversal decisions.
+The ``center_inner_products`` counter reports the paper's *logical* cost:
+one inner product for the root plus, per expanded node, one (with Lemma
+2's collaborative derivation) or two (without), whatever the kernels
+batch internally, so the counters still reproduce Theorem 5's
+measurements.
 
 This module is on the **exact path**: ``repro check`` statically enforces
-that it never imports the fast tier (rule REP101) and never introduces a
-float32 dtype (REP102) — the reference traversal computes in float64 end
-to end, and every other execution mode is validated by parity against it
-(see README, "Correctness tooling").
+that it never imports the fast tier at module level (rule REP101) and
+never introduces a float32 dtype outside the opt-in fast-tier entry points
+(REP102) — the exact traversal computes in float64 end to end, and is
+validated against the linear scan (see README, "Correctness tooling").
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core.bounds import (
-    kd_box_bound,
-    point_ball_bound,
-    point_cone_bound,
-    query_angle_terms,
-)
 from repro.core.policies import BranchPreference
-from repro.core.results import SearchResult, SearchStats, TopKCollector
-
-NO_CHILD = -1
-
-_INF = float("inf")
 
 
 class _LazyNodeValues:
@@ -71,8 +48,8 @@ class _LazyNodeValues:
 
     Tight candidate budgets visit only a sliver of the tree, so paying the
     full vectorized per-node precompute would dominate the query; this
-    wrapper gives the traversal loops the same ``values[node]`` interface
-    while computing (and caching) each node's value on demand.
+    wrapper gives the kernel's scalar descent the same ``values[node]``
+    interface while computing (and caching) each node's value on demand.
     """
 
     __slots__ = ("_values", "_fn")
@@ -122,11 +99,11 @@ class LeafPruningData:
 
 
 class TraversalEngine:
-    """Branch-and-bound query execution over a flat tree.
+    """The flat tree one fitted index's kernels walk.
 
     The engine is built once per fitted index (and rebuilt on re-fit); it
     converts the per-node integer/scalar arrays to plain Python lists so the
-    interpreter-bound traversal loop avoids NumPy scalar boxing, and keeps
+    interpreter-bound scalar descent avoids NumPy scalar boxing, and keeps
     the vector payloads (centers, points, leaf structures) as arrays for
     the vectorized per-query preparation and leaf kernels.
 
@@ -264,14 +241,12 @@ class TraversalEngine:
     # ------------------------------------------------------------------- API
 
     def block_kernel(self):
-        """The cached multi-query block kernel over this engine.
+        """The cached exact block kernel over this engine.
 
-        Answers whole query blocks with one shared tree walk while staying
-        bit-identical (results *and* work counters) to per-query
-        :meth:`search` — see :mod:`repro.engine.block` for the contract and
-        its scope (depth-first search, exact or under a candidate budget;
-        profiling, best-first order, and the sequential BC leaf scan stay
-        per-query).
+        The one exact traversal: answers a query block of any size (one
+        row for ``search``) with a shared tree walk whose results *and*
+        work counters do not depend on the block — see
+        :mod:`repro.engine.block` for the contract and its modes.
         """
         from repro.engine.block import BlockTraversalKernel
 
@@ -349,115 +324,16 @@ class TraversalEngine:
             kernel = self._fast_kernels[key] = FastTreeKernel(self, dtype)
         return kernel
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        *,
-        budget: float = _INF,
-        order: str = "depth_first",
-        preference=None,
-        profile: bool = False,
-    ) -> SearchResult:
-        """Answer one already-normalized query.
-
-        Parameters
-        ----------
-        query:
-            Normalized augmented query vector of shape ``(d,)``.
-        k:
-            Number of neighbors (already clamped to the index size).
-        budget:
-            Candidate budget from :func:`repro.engine.budget.resolve_budget`.
-        order:
-            ``"depth_first"`` (stack frontier) or ``"best_first"`` (heap
-            frontier).
-        preference:
-            Branch preference overriding the engine default (DFS only).
-        profile:
-            Record per-stage wall time into ``stats.stage_seconds``.
-        """
-        if order not in ("depth_first", "best_first"):
-            raise ValueError(
-                f"order must be 'depth_first' or 'best_first', got {order!r}"
-            )
-        preference = (
-            self.default_preference
-            if preference is None
-            else BranchPreference.coerce(preference)
-        )
-        stats = SearchStats()
-        collector = TopKCollector(k)
-
-        tic = time.perf_counter() if profile else 0.0
-        query_norm = float(np.linalg.norm(query))
-        # A tight candidate budget visits only a sliver of the tree, so
-        # evaluating every node's bound up front would dominate the query;
-        # switch to lazy per-node evaluation there.  The rule depends only
-        # on (budget, tree), so batched and sequential execution always
-        # pick the same strategy and stay bit-identical.  The block kernel
-        # mirrors this exact rule (repro.engine.block) because the lazy
-        # ddot and the eager GEMV rows differ in the last ulp on this
-        # BLAS — changing the rule here without changing it there breaks
-        # the batch-parity contract.
-        lazy = budget < self.num_nodes
-        if self._centers is not None:
-            stats.center_inner_products += 1  # the root (Theorem 5's "+1")
-            if lazy:
-                ips, bounds, keys = self._lazy_node_values(
-                    query, query_norm, preference
-                )
-            else:
-                ips_arr = self._centers @ query
-                abs_arr = np.abs(ips_arr)
-                bounds_arr = np.maximum(abs_arr - query_norm * self._radii, 0.0)
-                ips = ips_arr.tolist()
-                bounds = bounds_arr.tolist()
-                keys = (
-                    abs_arr.tolist()
-                    if preference is BranchPreference.CENTER
-                    else bounds
-                )
-        else:
-            ips = None
-            if lazy:
-                lower = self._lower
-                upper = self._upper
-                bounds = _LazyNodeValues(
-                    self.num_nodes,
-                    lambda node: kd_box_bound(query, lower[node], upper[node]),
-                )
-            else:
-                bounds = self._box_bounds(query).tolist()
-            keys = bounds
-        if profile and not lazy:
-            stats.stage_seconds["lower_bounds"] = (
-                stats.stage_seconds.get("lower_bounds", 0.0)
-                + (time.perf_counter() - tic)
-            )
-
-        if order == "depth_first":
-            self._run_depth_first(
-                query, query_norm, ips, bounds, keys, budget, collector, stats,
-                profile,
-            )
-        else:
-            self._run_best_first(
-                query, query_norm, ips, bounds, budget, collector, stats,
-                profile,
-            )
-        return collector.to_result(stats)
-
     def _lazy_node_values(self, query, query_norm, preference):
         """The ``(ips, bounds, keys)`` lazy-value triple for one query.
 
         The tight-budget strategy (``budget < num_nodes``): one
         ``centers[node] @ query`` ddot per touched node, python-float
         bound/key arithmetic on top.  This is the single construction site
-        — the per-query frontier and the block kernel's budgeted prologue
-        (:mod:`repro.engine.block`) both call it, because the ddot here and
-        the eager GEMV rows differ in the last ulp on this BLAS and any
-        drift between the two paths would break the batch-parity contract.
+        — the block kernel's budgeted prologue (:mod:`repro.engine.block`)
+        calls it for every row, because the ddot here and the eager GEMV
+        rows differ in the last ulp on this BLAS and a second construction
+        site could drift.
         """
         centers = self._centers
         radii = self._radii_list
@@ -480,260 +356,6 @@ class TraversalEngine:
         else:
             keys = bounds
         return ips, bounds, keys
-
-    # ------------------------------------------------------------- frontiers
-
-    def _run_depth_first(
-        self, query, query_norm, ips, bounds, keys, budget, collector, stats,
-        profile,
-    ) -> None:
-        """LIFO frontier: children pushed in branch-preference order."""
-        left_child = self._left
-        right_child = self._right
-        ip_increment = 1 if self.collaborative_ip else 2
-        count_ips = ips is not None
-        scan = self._pick_scanner()
-
-        expansions = 0
-        nodes_visited = 0
-        threshold = collector.threshold
-        stack = [0]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            if stats.candidates_verified >= budget:
-                break
-            node = pop()
-            nodes_visited += 1
-            if bounds[node] >= threshold:
-                continue
-            left = left_child[node]
-            if left == NO_CHILD:
-                scan(node, ips, query, query_norm, collector, stats, profile)
-                threshold = collector.threshold
-                continue
-            right = right_child[node]
-            expansions += 1
-            if keys[left] < keys[right]:
-                push(right)
-                push(left)
-            else:
-                push(left)
-                push(right)
-        stats.nodes_visited += nodes_visited
-        if count_ips:
-            stats.center_inner_products += ip_increment * expansions
-
-    def _run_best_first(
-        self, query, query_norm, ips, bounds, budget, collector, stats, profile
-    ) -> None:
-        """Min-heap frontier keyed by the node lower bound.
-
-        Frontier bounds only grow along any root-to-node path, so the first
-        popped bound at or above the pruning threshold terminates the whole
-        search; children are pushed only while still below the threshold.
-        """
-        left_child = self._left
-        right_child = self._right
-        ip_increment = 1 if self.collaborative_ip else 2
-        count_ips = ips is not None
-        scan = self._pick_scanner()
-
-        expansions = 0
-        nodes_visited = 0
-        threshold = collector.threshold
-        tiebreak = 0  # insertion order, so the heap never compares deeper
-        frontier = [(bounds[0], 0, 0)]
-        while frontier:
-            if stats.candidates_verified >= budget:
-                break
-            bound, _, node = heapq.heappop(frontier)
-            if bound >= threshold:
-                break
-            nodes_visited += 1
-            left = left_child[node]
-            if left == NO_CHILD:
-                scan(node, ips, query, query_norm, collector, stats, profile)
-                threshold = collector.threshold
-                continue
-            right = right_child[node]
-            expansions += 1
-            lb_left = bounds[left]
-            lb_right = bounds[right]
-            if lb_left < threshold:
-                tiebreak += 1
-                heapq.heappush(frontier, (lb_left, tiebreak, left))
-            if lb_right < threshold:
-                tiebreak += 1
-                heapq.heappush(frontier, (lb_right, tiebreak, right))
-        stats.nodes_visited += nodes_visited
-        if count_ips:
-            stats.center_inner_products += ip_increment * expansions
-
-    # ------------------------------------------------------------ leaf scans
-
-    def _pick_scanner(self):
-        if self._leaf is None:
-            return self._scan_exhaustive
-        if self._sequential_leaf_scan:
-            return self._scan_pruned_sequential
-        return self._scan_pruned
-
-    def _scan_exhaustive(
-        self, node, ips, query, query_norm, collector, stats, profile
-    ) -> None:
-        """Verify every point of the leaf (Algorithm 3, ``ExhaustiveScan``)."""
-        start = self._start[node]
-        end = self._end[node]
-        tic = time.perf_counter() if profile else 0.0
-        distances = np.abs(self._points_leaf[start:end] @ query)
-        collector.offer_batch(self._perm[start:end], distances)
-        if profile:
-            stats.stage_seconds["verification"] = (
-                stats.stage_seconds.get("verification", 0.0)
-                + (time.perf_counter() - tic)
-            )
-        stats.candidates_verified += end - start
-        stats.leaves_scanned += 1
-
-    def _scan_pruned(
-        self, node, ips, query, query_norm, collector, stats, profile
-    ) -> None:
-        """Algorithm 5's ``ScanWithPruning`` with the point-level bounds.
-
-        The leaf's points are sorted by descending ``r_x``, so the ball
-        bound is non-decreasing along the leaf and one ``searchsorted``
-        prunes the whole tail; the cone bound then filters the survivors
-        elementwise.
-        """
-        stats.leaves_scanned += 1
-        start = self._start[node]
-        end = self._end[node]
-        size = end - start
-        ip_node = ips[node]
-        abs_ip = ip_node if ip_node >= 0.0 else -ip_node
-        threshold = collector.threshold
-
-        tic = time.perf_counter() if profile else 0.0
-        cut = size
-        if self._use_ball_bound and threshold != _INF:
-            if threshold <= 0.0:
-                cut = 0
-            else:
-                # max(|ip| - ||q|| r_x, 0) >= threshold, with threshold > 0,
-                # is unaffected by the flooring at zero, so the unfloored
-                # (ascending) bound array feeds searchsorted directly.
-                ball = abs_ip - query_norm * self._point_radius[start:end]
-                cut = int(np.searchsorted(ball, threshold, side="left"))
-            stats.points_pruned_ball += size - cut
-        if profile:
-            stats.stage_seconds["lower_bounds"] = (
-                stats.stage_seconds.get("lower_bounds", 0.0)
-                + (time.perf_counter() - tic)
-            )
-        if cut == 0:
-            return
-        survivors = self._perm[start: start + cut]
-        tic = time.perf_counter() if profile else 0.0
-        # One contiguous GEMV over the whole surviving prefix: candidates the
-        # cone bound prunes below get a distance computed for free inside
-        # the same BLAS call, and only survivors are offered and counted.
-        distances = np.abs(self._points_leaf[start: start + cut] @ query)
-        if profile:
-            stats.stage_seconds["verification"] = (
-                stats.stage_seconds.get("verification", 0.0)
-                + (time.perf_counter() - tic)
-            )
-        tic = time.perf_counter() if profile else 0.0
-
-        # The cone bound costs a handful of vectorized operations per leaf;
-        # when only a few points survive the ball bound, verifying them
-        # directly is cheaper than evaluating it.
-        if cut > 8 and self._use_cone_bound and threshold != _INF:
-            center_norm = self._center_norms[node]
-            if center_norm <= 0.0:
-                q_cos, q_sin = 0.0, query_norm
-            else:
-                q_cos = ip_node / center_norm
-                radicand = query_norm * query_norm - q_cos * q_cos
-                q_sin = float(np.sqrt(radicand)) if radicand > 0.0 else 0.0
-            prod = q_cos * self._point_cos[start: start + cut]
-            scaled = q_sin * self._point_sin[start: start + cut]
-            # Theorem 3's case analysis, simplified for threshold > 0: the
-            # case-1 bound cos(theta + phi) prunes when q_cos > 0, x_cos > 0
-            # and cos_sum >= threshold (cos_sum > 0 is then implied); the
-            # case-2 bound -cos(theta - phi) prunes when cos_diff <=
-            # -threshold (which implies cos_diff < 0 and, since cos_sum <=
-            # cos_diff, rules case 1 out).
-            if q_cos > 0.0:
-                pruned = (
-                    self._point_cos_pos[start: start + cut]
-                    & (prod - scaled >= threshold)
-                ) | (prod + scaled <= -threshold)
-            else:
-                pruned = prod + scaled <= -threshold
-            num_pruned = np.count_nonzero(pruned)
-            if num_pruned:
-                keep = ~pruned
-                stats.points_pruned_cone += int(num_pruned)
-                survivors = survivors[keep]
-                distances = distances[keep]
-        if profile:
-            stats.stage_seconds["lower_bounds"] = (
-                stats.stage_seconds.get("lower_bounds", 0.0)
-                + (time.perf_counter() - tic)
-            )
-
-        if survivors.shape[0] == 0:
-            return
-        collector.offer_batch(survivors, distances)
-        stats.candidates_verified += int(survivors.shape[0])
-
-    def _scan_pruned_sequential(
-        self, node, ips, query, query_norm, collector, stats, profile
-    ) -> None:
-        """Point-by-point leaf scan exactly as written in Algorithm 5.
-
-        Kept for fidelity tests: the threshold tightens inside the leaf, so
-        slightly fewer candidates are verified, at a much higher interpreter
-        cost.  Results are identical to the vectorized scan.
-        """
-        stats.leaves_scanned += 1
-        leaf = self._leaf
-        start = self._start[node]
-        end = self._end[node]
-        ip_node = ips[node]
-        q_cos, q_sin = query_angle_terms(
-            ip_node, query_norm, self._center_norms[node]
-        )
-        # Reading row ``pos`` of the leaf-ordered copy is byte-identical to
-        # gathering ``points[perm[pos]]`` from the un-permuted matrix the
-        # engine historically kept, so dropping that duplicate changes no
-        # distance and no counter.
-        points_leaf = self._points_leaf
-        perm = self._perm
-
-        for pos in range(start, end):
-            threshold = collector.threshold
-            if leaf.use_ball_bound:
-                ball = float(
-                    point_ball_bound(ip_node, query_norm, leaf.point_radius[pos])
-                )
-                if ball >= threshold:
-                    # Remaining points have larger or equal bounds: batch prune.
-                    stats.points_pruned_ball += end - pos
-                    return
-            if leaf.use_cone_bound:
-                cone = point_cone_bound(
-                    q_cos, q_sin, leaf.point_cos[pos], leaf.point_sin[pos]
-                )
-                if cone >= threshold:
-                    stats.points_pruned_cone += 1
-                    continue
-            index = int(perm[pos])
-            distance = float(abs(points_leaf[pos] @ query))
-            stats.candidates_verified += 1
-            collector.offer(index, distance)
 
     # ------------------------------------------------------------- internals
 

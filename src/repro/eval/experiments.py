@@ -541,15 +541,12 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
     candidate budget the paper's Figures 5-6 sweep), the linear scan, and
     the NH/FH hashing baselines (answered by the vectorized whole-batch
     hashing kernel) across worker-pool sizes.  The ``path`` column records
-    which execution path the engine actually dispatched (``kernel``,
-    ``fast-gemm`` or ``per-query``) and ``why_per_query`` names the veto
-    that fired — a
-    silently-declined kwarg is otherwise indistinguishable from a kernel
-    run (the BC-Tree sequential-scan row demonstrates one).  Recall is a
-    sanity check (batched results are bit-identical to sequential search,
-    so it always matches the sequential number).
+    which execution path the engine dispatched (``kernel``, ``fast-gemm``,
+    or ``per-query`` for the linear scan, which has no batch kernel).
+    Recall is a sanity check (batched results are bit-identical to
+    sequential search, so it always matches the sequential number).
     """
-    from repro.engine.batch import kernel_dispatch_path, kernel_dispatch_reason
+    from repro.engine.batch import kernel_dispatch_path
 
     n_jobs_grid = (1, 2, 4)
     #: Sweep for the tree indexes: exact, one paper-style candidate
@@ -565,15 +562,6 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
         methods: Dict[str, Callable[[], object]] = {}
         methods.update(_tree_methods(config))
         tree_names.update(methods)
-        # One deliberately kernel-ineligible configuration, so the
-        # fallback-reason column is visible in the default output.
-        methods["BC-Tree-seq"] = lambda: build_index(
-            "bc_tree",
-            leaf_size=config.leaf_size,
-            random_state=config.seed,
-            scan_mode="sequential",
-        )
-        tree_names.add("BC-Tree-seq")
         methods["Linear"] = lambda: build_index("linear_scan")
         methods.update(_hash_methods(config, dim))
         for method, factory in methods.items():
@@ -594,7 +582,6 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
             try:
                 for search_kwargs in budgets:
                     baseline_qps = None
-                    reason = kernel_dispatch_reason(index, **search_kwargs)
                     path = kernel_dispatch_path(index, **search_kwargs)
                     if "candidate_fraction" in search_kwargs:
                         budget_label = (
@@ -629,7 +616,6 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
                                 # count).
                                 "workers": batch.n_jobs,
                                 "path": path,
-                                "why_per_query": reason or "",
                                 "queries_per_second": qps,
                                 "speedup_vs_1": (
                                     qps / baseline_qps if baseline_qps else 0.0
@@ -650,7 +636,6 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
             "n_jobs",
             "workers",
             "path",
-            "why_per_query",
             "queries_per_second",
             "speedup_vs_1",
             "recall",

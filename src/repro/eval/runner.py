@@ -11,13 +11,13 @@ Query execution goes through the public API layer: the legacy
 centrally-validated :class:`repro.api.SearchOptions` and the batch runs
 inside a :class:`repro.api.Searcher` session (callers sweeping many search
 settings can pass their own open session to reuse its warm worker pool).
-Per-query wall times come from the engine's per-query timers.  Tree
-indexes dispatch per-query traversals over the pool; the hashing
-baselines are answered by their vectorized whole-batch kernel
-(:mod:`repro.hashing.base`), so NH/FH sweeps measure algorithm cost, not
-Python loop overhead.  Batched results are bit-identical to sequential
-search in both modes, so recall numbers are unaffected by the execution
-mode.
+Per-query wall times come from the engine's per-query timers.  The tree
+indexes are answered by the block traversal kernel
+(:mod:`repro.engine.block`) and the hashing baselines by their vectorized
+whole-batch kernel (:mod:`repro.hashing.base`), so sweeps measure
+algorithm cost, not Python loop overhead.  Batched results are
+bit-identical to sequential search on every path, so recall numbers are
+unaffected by the execution mode.
 """
 
 from __future__ import annotations
@@ -167,7 +167,6 @@ def evaluate_index(
                 k=k,
                 n_jobs=session_options.n_jobs,
                 executor=session_options.executor,
-                block=session_options.block,
                 **merged,
             )
         else:
@@ -204,7 +203,7 @@ def evaluate_index(
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if searcher is not None:
         batch = searcher.batch_search(
-            queries, k=options.k, block=options.block, **search_kwargs
+            queries, k=options.k, **search_kwargs
         )
     else:
         with Searcher(index, options) as session:

@@ -252,8 +252,6 @@ class TestSearchOptionsValidation:
     def test_non_bool_flags_rejected(self):
         with pytest.raises(TypeError, match="profile"):
             SearchOptions(profile=1)
-        with pytest.raises(TypeError, match="block"):
-            SearchOptions(block=None)
 
     def test_from_kwargs_lifts_known_fields(self):
         options = SearchOptions.from_kwargs(

@@ -377,22 +377,40 @@ class TestTreeKernelParity:
         )
         self._assert_stats_equal(batch, sequential)
 
-    def test_unsupported_options_fall_back_to_per_query(
+    def test_every_tree_mode_reaches_the_block_kernel(
             self, fitted_indexes, small_queries, monkeypatch):
-        """Profiling and the sequential scan must never reach the block
-        kernel — they are dispatched per query."""
+        """There is one tree traversal: sequential ``search``, profiling,
+        the sequential BC leaf scan and best-first order all run
+        ``BlockTraversalKernel.search_block``."""
+        from repro.core.best_first import BestFirstSearcher
         from repro.engine.block import BlockTraversalKernel
 
-        def explode(self, *args, **kwargs):
-            raise AssertionError("block kernel used for unsupported options")
+        calls = []
+        original = BlockTraversalKernel.search_block
 
-        monkeypatch.setattr(BlockTraversalKernel, "search_block", explode)
-        index = fitted_indexes["bc"]
-        index.batch_search(small_queries, k=K, profile=True)
-        sequential_scan = fitted_indexes["bc_sequential"]
-        sequential_scan.batch_search(small_queries, k=K)
-        with pytest.raises(AssertionError, match="block kernel used"):
-            index.batch_search(small_queries, k=K)
+        def spy(self, matrix, k, **kwargs):
+            calls.append((matrix.shape[0], kwargs.get("order"),
+                          kwargs.get("profile", False)))
+            return original(self, matrix, k, **kwargs)
+
+        monkeypatch.setattr(BlockTraversalKernel, "search_block", spy)
+        query = small_queries[0]
+        for name in ("ball", "bc", "kd", "bc_sequential"):
+            fitted_indexes[name].search(query, k=K)
+        fitted_indexes["bc"].search(query, k=K, profile=True)
+        fitted_indexes["bc"].batch_search(small_queries, k=K, profile=True)
+        fitted_indexes["bc_sequential"].batch_search(small_queries, k=K)
+        BestFirstSearcher(fitted_indexes["bc"]).search(query, k=K)
+        assert calls == [
+            (1, None, False),
+            (1, None, False),
+            (1, None, False),
+            (1, None, False),
+            (1, None, True),
+            (len(small_queries), None, True),
+            (len(small_queries), None, False),
+            (1, "best_first", False),
+        ]
 
     def test_supported_options_use_the_kernel(self, fitted_indexes,
                                               small_queries, monkeypatch):
@@ -433,10 +451,10 @@ class TestTreeKernelParity:
         """Budgeted batches dispatch through the kernel and stay
         bit-identical — results and every work counter — to per-query
         budgeted ``search``, in both node-value strategies."""
-        from repro.engine.batch import uses_kernel_dispatch
+        from repro.engine.batch import kernel_dispatch_path
 
         index = fitted_indexes[name]
-        assert uses_kernel_dispatch(index, **budget_kwargs)
+        assert kernel_dispatch_path(index, **budget_kwargs) == "kernel"
         sequential = [
             index.search(q, k=K, **budget_kwargs) for q in small_queries
         ]
@@ -445,23 +463,20 @@ class TestTreeKernelParity:
         )
         self._assert_stats_equal(batch, sequential)
 
-    def test_kernel_dispatch_reason(self, fitted_indexes):
-        """The fallback reason names the veto that fired (None = kernel)."""
-        from repro.engine.batch import kernel_dispatch_reason
+    def test_kernel_dispatch_path(self, fitted_indexes):
+        """Every tree option runs a kernel; only kernel-less indexes go
+        per-query."""
+        from repro.engine.batch import kernel_dispatch_path
 
         bc = fitted_indexes["bc"]
-        assert kernel_dispatch_reason(bc) is None
-        assert kernel_dispatch_reason(bc, candidate_fraction=0.1) is None
-        assert kernel_dispatch_reason(bc, max_candidates=5) is None
-        assert "profile" in kernel_dispatch_reason(bc, profile=True)
-        assert "sequential" in kernel_dispatch_reason(
-            fitted_indexes["bc_sequential"]
-        )
-        assert "bogus" in kernel_dispatch_reason(bc, bogus=1)
-        assert "no vectorized batch kernel" in kernel_dispatch_reason(
-            fitted_indexes["linear"]
-        )
-        assert kernel_dispatch_reason(fitted_indexes["nh"]) is None
+        assert kernel_dispatch_path(bc) == "kernel"
+        assert kernel_dispatch_path(bc, candidate_fraction=0.1) == "kernel"
+        assert kernel_dispatch_path(bc, max_candidates=5) == "kernel"
+        assert kernel_dispatch_path(bc, profile=True) == "kernel"
+        assert kernel_dispatch_path(bc, exact=False) == "fast-gemm"
+        assert kernel_dispatch_path(fitted_indexes["bc_sequential"]) == "kernel"
+        assert kernel_dispatch_path(fitted_indexes["linear"]) == "per-query"
+        assert kernel_dispatch_path(fitted_indexes["nh"]) == "kernel"
 
     @pytest.mark.parametrize("name", ["ball", "bc", "kd"])
     def test_explicit_default_options_accepted(self, fitted_indexes,
@@ -479,9 +494,9 @@ class TestTreeKernelParity:
 
     def test_tree_kernel_rejects_unknown_kwargs(self, fitted_indexes,
                                                 small_queries):
-        """Unknown options decline the kernel and raise from per-query
-        search, exactly as before the kernel existed."""
-        with pytest.raises(TypeError):
+        """Unknown options raise ``TypeError`` from the kernel, exactly as
+        from ``search``."""
+        with pytest.raises(TypeError, match="KDTree.search got unexpected"):
             fitted_indexes["kd"].batch_search(
                 small_queries, k=K, probes_per_table=3
             )

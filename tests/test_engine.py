@@ -89,14 +89,15 @@ class TestTraversalEngine:
 
     def test_rejects_unknown_order(self, small_clustered_data, small_queries):
         tree = BallTree(leaf_size=40, random_state=0).fit(small_clustered_data)
-        with pytest.raises(ValueError):
-            tree._engine().search(small_queries[0] / 2, 3, order="sideways")
+        kernel = tree._engine().block_kernel()
+        with pytest.raises(ValueError, match="order"):
+            kernel.search_block(small_queries[:1] / 2, 3, order="sideways")
 
     def test_depth_first_equals_best_first_exact(self, small_clustered_data,
                                                  small_queries,
                                                  match_ground_truth,
                                                  small_ground_truth):
-        """Both frontier modes of the one engine return the exact answer."""
+        """Both frontier modes of the one kernel return the exact answer."""
         _, truth_dist = small_ground_truth
         tree = BCTree(leaf_size=40, random_state=1).fit(small_clustered_data)
         searcher = BestFirstSearcher(tree)
@@ -113,16 +114,43 @@ class TestTraversalEngine:
             match_ground_truth(tree.search(query, k=10), truth)
 
     def test_factories_configure_leaf_scanners(self, small_clustered_data):
+        """Ball-Tree scans leaves exhaustively; BC-Tree carries the
+        point-level pruning data, scanned whole-leaf or point by point."""
         ball = BallTree(leaf_size=40, random_state=0).fit(small_clustered_data)
         bc = BCTree(leaf_size=40, random_state=0).fit(small_clustered_data)
         seq = BCTree(leaf_size=40, random_state=0,
                      scan_mode="sequential").fit(small_clustered_data)
-        assert ball._engine()._pick_scanner() == ball._engine()._scan_exhaustive
-        assert bc._engine()._pick_scanner() == bc._engine()._scan_pruned
-        assert (
-            seq._engine()._pick_scanner()
-            == seq._engine()._scan_pruned_sequential
-        )
+        assert ball._engine()._leaf is None
+        assert bc._engine()._leaf is not None
+        assert not bc._engine()._sequential_leaf_scan
+        assert seq._engine()._leaf is not None
+        assert seq._engine()._sequential_leaf_scan
+
+    def test_sequential_scan_tightens_inside_the_leaf(self,
+                                                      small_clustered_data,
+                                                      small_queries):
+        """``scan_mode="sequential"`` really runs the point-by-point scan:
+        its threshold tightens inside a leaf, so it never verifies more
+        candidates than the whole-leaf scan and verifies fewer on some
+        query, while returning the same neighbors (its one dot product
+        per point may differ from the leaf GEMV in the last ulp)."""
+        vec = BCTree(leaf_size=40, random_state=0).fit(small_clustered_data)
+        seq = BCTree(leaf_size=40, random_state=0,
+                     scan_mode="sequential").fit(small_clustered_data)
+        fewer = 0
+        for query in small_queries:
+            a = vec.search(query, k=10)
+            b = seq.search(query, k=10)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_allclose(a.distances, b.distances,
+                                       rtol=1e-12, atol=1e-12)
+            assert (
+                b.stats.candidates_verified <= a.stats.candidates_verified
+            )
+            fewer += (
+                b.stats.candidates_verified < a.stats.candidates_verified
+            )
+        assert fewer > 0
 
 
 class TestBatchSearchResult:

@@ -146,25 +146,28 @@ class TestDispatchPath:
             kernel_dispatch_path(index, exact=False, candidate_fraction=0.2)
             == "fast-gemm"
         )
-        assert kernel_dispatch_path(index, profile=True) == "per-query"
+        assert kernel_dispatch_path(index, profile=True) == "kernel"
 
     def test_sequential_scan_mode_goes_fast(self):
         points = _clustered(200)
         index = BCTree(
             leaf_size=32, random_state=0, scan_mode="sequential"
         ).fit(points)
-        # Exact sequential-scan mode must run per-query (it tightens the
-        # threshold inside each leaf), but the fast mode never evaluates
-        # point-level bounds, so it takes the GEMM kernel.
-        assert kernel_dispatch_path(index) == "per-query"
+        # The exact sequential scan runs on the block kernel (one query
+        # per sub-block); the fast mode never evaluates point-level
+        # bounds, so it takes the GEMM kernel.
+        assert kernel_dispatch_path(index) == "kernel"
         assert kernel_dispatch_path(index, exact=False) == "fast-gemm"
 
     def test_non_tree_indexes_reject_fast_mode(self):
         points = _clustered(200)
         query = _queries(points, 1)[0]
-        for index in (NHIndex(num_tables=4, random_state=0), LinearScan()):
+        for index, path in (
+            (NHIndex(num_tables=4, random_state=0), "kernel"),
+            (LinearScan(), "per-query"),
+        ):
             index.fit(points)
-            assert kernel_dispatch_path(index) == "kernel" or True
+            assert kernel_dispatch_path(index) == path
             with pytest.raises(TypeError, match="exact"):
                 index.search(query, 5, exact=False)
 

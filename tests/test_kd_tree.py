@@ -50,7 +50,8 @@ class TestKDTree:
 
     def test_rejects_unknown_search_options(self, gaussian_blob):
         tree = KDTree(leaf_size=16).fit(gaussian_blob)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="KDTree.search got unexpected"
+                           " options: probes_per_table"):
             tree.search(np.ones(9), k=1, probes_per_table=3)
 
     @settings(max_examples=10, deadline=None)

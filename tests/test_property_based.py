@@ -1,6 +1,6 @@
 """Property-based (Hypothesis) suite for the query-execution engine.
 
-Three families of properties, asserted over randomly drawn (data,
+Four families of properties, asserted over randomly drawn (data,
 hyperplane, k) problems — including the degenerate shapes hand-written
 tests rarely cover (duplicated points, near-zero offsets, single-cluster
 blobs, k larger than a leaf, quantized coordinates that force distance
@@ -8,14 +8,16 @@ ties):
 
 * **batch == sequential** — ``batch_search`` must return bit-identical
   indices, distances, and work counters to per-query ``search`` for every
-  index family.  For the tree indexes this exercises the block traversal
-  kernel (:mod:`repro.engine.block`) end to end, including its group
-  splitting and scalar fallback; for the hashing baselines it exercises
-  the whole-block hashing kernel.
-* **tree == linear scan** — exact (unbudgeted) tree search must return
-  the true top-k distances, compared against a brute-force scan (values
-  up to BLAS ulp differences, multiset-wise so distance ties cannot flip
-  the comparison).
+  index family.  For the tree indexes ``search`` is the block traversal
+  kernel (:mod:`repro.engine.block`) on a one-row block, so this pits its
+  group splitting and vectorized leaf events against the scalar descent;
+  for the hashing baselines it exercises the whole-block hashing kernel.
+* **tree == linear scan** — exact (unbudgeted) tree search, depth-first
+  and best-first, must return the true top-k distances, compared against
+  a brute-force scan (values up to BLAS ulp differences, multiset-wise so
+  distance ties cannot flip the comparison).  This is the oracle.
+* **profiling is free of side effects** — ``profile=True`` changes no
+  index, distance or counter.
 * **stats sanity** — the work counters must satisfy their structural
   invariants: visits bounded by the tree size, every leaf point accounted
   once as verified or pruned, pooled batch stats equal to the sum of the
@@ -46,7 +48,8 @@ from repro import (  # noqa: E402
     PartitionedP2HIndex,
     RPTree,
 )
-from repro.engine.batch import uses_kernel_dispatch  # noqa: E402
+from repro.core.best_first import BestFirstSearcher  # noqa: E402
+from repro.engine.batch import kernel_dispatch_path  # noqa: E402
 from repro.core.distances import augment_points, normalize_query  # noqa: E402
 from repro.hashing import (  # noqa: E402
     AngularHyperplaneHash,
@@ -75,6 +78,9 @@ TREE_FAMILIES = {
     "bc_two_ip": lambda leaf_size: BCTree(
         leaf_size=leaf_size, random_state=3, collaborative_ip=False
     ),
+    "bc_seq": lambda leaf_size: BCTree(
+        leaf_size=leaf_size, random_state=3, scan_mode="sequential"
+    ),
     "kd": lambda leaf_size: KDTree(leaf_size=leaf_size),
     "rp": lambda leaf_size: RPTree(leaf_size=leaf_size, random_state=3),
 }
@@ -83,9 +89,9 @@ TREE_FAMILIES = {
 # "one leaf" to "everything", and absolute counts from 1 (exhaustion inside
 # the very first leaf) past n (budget larger than the data set, so the
 # budgeted path must degenerate to exact search).  Small counts against
-# leaf sizes up to 24 exercise mid-leaf exhaustion — the per-query loop
-# scans the whole crossing leaf and only then stops, and the kernel must
-# overshoot identically.
+# leaf sizes up to 24 exercise mid-leaf exhaustion — the scalar descent
+# scans the whole crossing leaf and only then stops, and the group
+# frontier must overshoot identically.
 budget_options = st.one_of(
     st.fixed_dictionaries(
         {"candidate_fraction": st.floats(min_value=0.001, max_value=1.0)}
@@ -200,7 +206,7 @@ class TestTreeProperties:
         (eager GEMV above ``budget >= num_nodes``, lazy ddots below)."""
         points, queries, k, leaf_size = data
         index = TREE_FAMILIES[family](leaf_size).fit(points)
-        assert uses_kernel_dispatch(index, **budget)
+        assert kernel_dispatch_path(index, **budget) == "kernel"
         sequential = [index.search(q, k=k, **budget) for q in queries]
         batch = index.batch_search(queries, k=k, **budget)
         _assert_bit_identical_with_stats(batch, sequential)
@@ -232,18 +238,46 @@ class TestTreeProperties:
 
     @given(data=problems(), family=st.sampled_from(sorted(TREE_FAMILIES)))
     def test_tree_equals_linear_scan(self, data, family):
-        """Exact tree search returns the true top-k distance multiset."""
+        """Exact tree search — and best-first search on the ball trees —
+        returns the true top-k distance multiset."""
         points, queries, k, leaf_size = data
         index = TREE_FAMILIES[family](leaf_size).fit(points)
+        searches = [index.search]
+        if isinstance(index, BallTree):
+            searches.append(BestFirstSearcher(index).search)
         augmented = augment_points(points)
         for query in queries:
-            result = index.search(query, k=k)
             q = normalize_query(np.asarray(query, dtype=np.float64))
             brute = np.sort(np.abs(augmented @ q))[: min(k, points.shape[0])]
-            assert len(result) == brute.shape[0]
-            np.testing.assert_allclose(
-                np.asarray(result.distances), brute, rtol=1e-9, atol=1e-12
-            )
+            for search in searches:
+                result = search(query, k=k)
+                assert len(result) == brute.shape[0]
+                np.testing.assert_allclose(
+                    np.asarray(result.distances), brute,
+                    rtol=1e-9, atol=1e-12,
+                )
+
+    @given(
+        data=problems(),
+        # KD-Tree keeps no stage timers and rejects ``profile``.
+        family=st.sampled_from(sorted(set(TREE_FAMILIES) - {"kd"})),
+    )
+    def test_profile_changes_nothing(self, data, family):
+        """``profile=True`` only adds stage timers: indices, distances and
+        every counter equal the unprofiled run, through ``search`` and
+        ``batch_search``, and batches carry both stage keys."""
+        points, queries, k, leaf_size = data
+        index = TREE_FAMILIES[family](leaf_size).fit(points)
+        plain = [index.search(q, k=k) for q in queries]
+        _assert_bit_identical_with_stats(
+            [index.search(q, k=k, profile=True) for q in queries], plain
+        )
+        batch = index.batch_search(queries, k=k, profile=True)
+        _assert_bit_identical_with_stats(batch, plain)
+        stages = {"lower_bounds", "verification"}
+        assert stages <= set(batch.stats.stage_seconds)
+        for result in batch:
+            assert stages <= set(result.stats.stage_seconds)
 
     @given(data=problems(), family=st.sampled_from(sorted(TREE_FAMILIES)))
     def test_stats_counters_sane(self, data, family):

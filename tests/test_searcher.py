@@ -27,8 +27,9 @@ QUERIES = RNG.normal(size=(9, 11))
 K = 5
 
 #: (family id, build kwargs, search overrides) — chosen to cover the tree
-#: block kernel, the kernel-vetoed per-query path (sequential scan), the
-#: budgeted kernel, the hashing kernel, and both composites.
+#: block kernel, its one-row-sub-block mode (sequential scan), the budgeted
+#: kernel, the per-query path (linear scan), the hashing kernel, and both
+#: composites.
 CASES = [
     ("bc_tree", {"leaf_size": 32, "random_state": 0}, {}),
     ("bc_tree_seq", {"leaf_size": 32, "random_state": 0,
@@ -160,16 +161,6 @@ def test_per_call_overrides_reuse_the_pool():
     )
     assert_batches_identical(exact, expected_exact)
     assert_batches_identical(budgeted, expected_budgeted)
-
-
-def test_block_false_forces_per_query_path_with_identical_results():
-    index = _build_fitted("bc_tree", {"leaf_size": 32, "random_state": 0})
-    kernel = index.batch_search(QUERIES, k=K, n_jobs=2)
-    with Searcher(
-        index, SearchOptions(k=K, n_jobs=2, block=False)
-    ) as searcher:
-        per_query = searcher.batch_search(QUERIES)
-    assert_batches_identical(per_query, kernel)
 
 
 def test_per_call_override_can_switch_budget_form():
