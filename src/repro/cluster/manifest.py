@@ -231,9 +231,12 @@ def build_cluster_dir(
     :class:`~repro.core.partitioned.PartitionedP2HIndex` fits with, so a
     partitioned index built from the same points/strategy/seed owns
     identical shards.  Dynamic shards (``spec.updatable``) are built by
-    inserting the slice and rebuilding once, which assigns local ids
-    ``0..n-1`` in slice order — the position-as-local-id invariant the
-    router's update path relies on.
+    inserting the slice, which assigns local ids ``0..n-1`` in slice order
+    — the position-as-local-id invariant the router's update path relies
+    on — and fit once: the insert's own rebuild fits a shard that
+    rebuilds automatically, and an explicit
+    :meth:`~repro.core.dynamic.DynamicP2HIndex.rebuild` fits one whose spec
+    sets ``auto_rebuild: false`` (its insert leaves the rows buffered).
     """
     from repro.api import build_index, save_index
 
@@ -248,7 +251,8 @@ def build_cluster_dir(
         slice_points = points[ids]
         if spec.updatable:
             index.insert(slice_points)
-            index.rebuild()
+            if index.buffer_size:
+                index.rebuild()
         else:
             index.fit(slice_points)
         save_index(index, out_dir / f"{_shard_stem(shard_id)}.idx")

@@ -7,16 +7,23 @@ under updates without paying a full rebuild per update.  This module wraps
 any static :class:`~repro.core.index_base.P2HIndex` with the standard
 *main index + delta buffer + tombstones* scheme:
 
-* **Inserts** land in a small brute-force buffer that is scanned exactly at
-  query time (the buffer is tiny compared to the main index, so the extra
-  cost is one vectorized inner-product pass).
-* **Deletes** mark points in a tombstone set; searches over-fetch from the
-  main index and filter tombstoned candidates out.
-* When the buffer or the tombstones exceed a configurable fraction of the
-  indexed points, the structure is **rebuilt** from scratch (Ball-Tree /
-  BC-Tree construction is roughly linear, so periodic rebuilds keep the
-  amortized update cost low — this is precisely the "lightweight
-  construction" property the paper emphasizes).
+* **Inserts** land in a brute-force buffer: one growing array of augmented
+  rows with its ids and live mask, scored exactly at query time by one
+  inner-product pass (the buffer is tiny compared to the main index).
+* **Deletes** clear a boolean live mask over the static index's positions
+  (or over the buffer's rows); ids are located by binary search, since
+  they are issued in increasing order and a rebuild keeps that order.
+  A search asks the static index for ``k`` plus a margin proportional to
+  its deleted share (exactly ``k`` while nothing is deleted), drops the
+  deleted positions, and fetches again at ``k + deleted`` only when too
+  few live points survived, so answers stay exact for any deletion
+  pattern.
+* When the buffer rows (deleted ones included) plus the deleted points
+  exceed a configurable fraction of the indexed points, the structure is
+  **rebuilt** from scratch (Ball-Tree / BC-Tree construction is roughly
+  linear, so periodic rebuilds keep the amortized update cost low — this
+  is precisely the "lightweight construction" property the paper
+  emphasizes).
 
 The wrapper exposes the same ``search`` contract as the static indexes and
 adds ``insert`` / ``delete`` / ``rebuild``.
@@ -24,7 +31,7 @@ adds ``insert`` / ``delete`` / ``rebuild``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,6 +76,7 @@ class DynamicP2HIndex:
     >>> ids = index.insert(rng.normal(size=(200, 8)))
     >>> more = index.insert(rng.normal(size=(50, 8)))
     >>> index.delete(ids[:10])
+    10
     >>> result = index.search(rng.normal(size=9), k=5)
     >>> len(result)
     5
@@ -92,13 +100,8 @@ class DynamicP2HIndex:
         self.rebuild_threshold = float(rebuild_threshold)
         self.auto_rebuild = bool(auto_rebuild)
 
-        self._static_index: Optional[P2HIndex] = None
-        # Raw (non-augmented) points of every live id, keyed by insertion order.
-        self._static_ids: np.ndarray = np.empty(0, dtype=np.int64)
-        self._static_points: Optional[np.ndarray] = None
-        self._buffer_ids: List[int] = []
-        self._buffer_points: List[np.ndarray] = []
-        self._tombstones: Set[int] = set()
+        self._set_static(None, np.empty(0, dtype=np.int64), None)
+        self._clear_buffer()
         self._next_id: int = 0
         self.num_rebuilds: int = 0
         # Bumped on every state change; long-lived process pools (the
@@ -106,31 +109,70 @@ class DynamicP2HIndex:
         # worker-side snapshot of the index went stale and must be rebuilt.
         self._mutation_version: int = 0
 
+    def _set_static(
+        self,
+        index: Optional[P2HIndex],
+        ids: np.ndarray,
+        points: Optional[np.ndarray],
+    ) -> None:
+        """Install a static index over raw ``points`` whose ids are ``ids``."""
+        self._static_index = index
+        # Ids in position order (sorted), raw rows, and which are live.
+        self._static_ids = ids
+        self._static_points = points
+        self._static_live = np.ones(ids.size, dtype=bool)
+        self._static_dead = 0
+
+    def _clear_buffer(self) -> None:
+        # Ids (sorted), augmented rows and live mask of the buffered points.
+        self._buffer_ids = np.empty(0, dtype=np.int64)
+        self._buffer_rows = np.empty((0, 0))
+        self._buffer_live = np.empty(0, dtype=bool)
+        self._buffer_dead = 0
+
+    def __setstate__(self, state) -> None:
+        if "_tombstones" not in state:
+            self.__dict__.update(state)
+            return
+        # Saved by a version that kept a tombstone set and per-row buffer
+        # lists: replay them onto the live masks and buffer arrays.
+        tombstones = state.pop("_tombstones")
+        buffer_ids = state.pop("_buffer_ids")
+        buffer_points = state.pop("_buffer_points")
+        self.__dict__.update(state)
+        self._set_static(self._static_index, self._static_ids, self._static_points)
+        self._clear_buffer()
+        if buffer_points:
+            self._append_buffer(
+                np.asarray(buffer_ids, dtype=np.int64), np.vstack(buffer_points)
+            )
+        self._mark_deleted(list(tombstones))
+
     # ------------------------------------------------------------ properties
 
     @property
     def num_points(self) -> int:
         """Number of live (inserted and not deleted) points."""
-        return int(self._static_ids.size + len(self._buffer_ids) - len(self._tombstones))
+        return int(self._static_ids.size + self._buffer_ids.size) - self.num_tombstones
 
     @property
     def dim(self) -> Optional[int]:
         """Raw point dimension (``d - 1``), or None before the first insert."""
         if self._static_points is not None:
             return int(self._static_points.shape[1])
-        if self._buffer_points:
-            return int(self._buffer_points[0].shape[0])
+        if self._buffer_ids.size:
+            return int(self._buffer_rows.shape[1] - 1)
         return None
 
     @property
     def buffer_size(self) -> int:
         """Number of points waiting in the brute-force insert buffer."""
-        return len(self._buffer_ids)
+        return int(self._buffer_ids.size)
 
     @property
     def num_tombstones(self) -> int:
         """Number of deleted points not yet purged by a rebuild."""
-        return len(self._tombstones)
+        return self._static_dead + self._buffer_dead
 
     # ------------------------------------------------------------------ API
 
@@ -145,23 +187,18 @@ class DynamicP2HIndex:
             )
         ids = np.arange(self._next_id, self._next_id + pts.shape[0], dtype=np.int64)
         self._next_id += pts.shape[0]
-        for row, point_id in zip(pts, ids):
-            self._buffer_ids.append(int(point_id))
-            self._buffer_points.append(row.copy())
+        self._append_buffer(ids, pts)
         self._mutation_version += 1
         self._maybe_rebuild()
         return ids
 
     def delete(self, ids) -> int:
         """Delete points by id; returns the number of points actually removed."""
-        requested = {int(i) for i in np.atleast_1d(np.asarray(ids, dtype=np.int64))}
-        live = self._live_ids()
-        removable = requested & live
-        if removable:
-            self._tombstones.update(removable)
+        removed = self._mark_deleted(ids)
+        if removed:
             self._mutation_version += 1
         self._maybe_rebuild()
-        return len(removable)
+        return removed
 
     def search(self, query: np.ndarray, k: int = 1, **search_kwargs) -> SearchResult:
         """Top-``k`` P2HNNS over all live points (static index + buffer)."""
@@ -176,34 +213,46 @@ class DynamicP2HIndex:
 
         stats = SearchStats()
         collector = TopKCollector(k)
+        ids, distances = self._search_static(q, k, stats, search_kwargs)
+        for point_id, dist in zip(ids.tolist(), distances.tolist()):
+            collector.offer(point_id, dist)
 
-        # Main index: over-fetch to survive tombstone filtering.
-        if self._static_index is not None and self._static_ids.size:
-            static_tombstoned = sum(
-                1 for i in self._static_ids if int(i) in self._tombstones
-            )
-            fetch = min(int(self._static_ids.size), k + static_tombstoned)
-            static_result = self._static_index.search(q, k=fetch, **search_kwargs)
-            stats.merge(static_result.stats)
-            for pos, dist in zip(static_result.indices, static_result.distances):
-                point_id = int(self._static_ids[int(pos)])
-                if point_id in self._tombstones:
-                    continue
-                collector.offer(point_id, float(dist))
-
-        # Insert buffer: exact vectorized scan.
-        if self._buffer_ids:
-            buffer_ids = np.asarray(self._buffer_ids, dtype=np.int64)
-            live_mask = np.array(
-                [int(i) not in self._tombstones for i in buffer_ids], dtype=bool
-            )
-            if live_mask.any():
-                buffer_points = augment_points(np.vstack(self._buffer_points))
-                distances = np.abs(buffer_points[live_mask] @ q)
-                collector.offer_batch(buffer_ids[live_mask], distances)
-                stats.candidates_verified += int(live_mask.sum())
+        # Insert buffer: exact scan of the live rows.
+        if self._buffer_ids.size:
+            live = self._buffer_live
+            distances = np.abs(self._buffer_rows[live] @ q)
+            collector.offer_batch(self._buffer_ids[live], distances)
+            stats.candidates_verified += int(distances.size)
 
         return collector.to_result(stats)
+
+    def _search_static(self, q, k, stats, search_kwargs):
+        """Ids and distances of the static index's top-``k`` live points.
+
+        The first fetch asks for ``k + ceil(k * deleted / live) + 1`` (just
+        ``k`` while nothing is deleted); if fewer than ``min(k, live)`` of
+        its points are live, the fetch is repeated at ``k + deleted``,
+        which always holds that many.  ``stats`` accumulates every fetch.
+        """
+        size = int(self._static_ids.size)
+        live = size - self._static_dead
+        if live == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        full = min(size, k + self._static_dead)
+        fetch = full
+        if self._static_dead:
+            margin = (k * self._static_dead + live - 1) // live + 1
+            fetch = min(full, k + margin)
+        while True:
+            result = self._static_index.search(q, k=fetch, **search_kwargs)
+            stats.merge(result.stats)
+            keep = self._static_live[result.indices]
+            if fetch == full or np.count_nonzero(keep) >= min(k, live):
+                return (
+                    self._static_ids[result.indices[keep]],
+                    result.distances[keep],
+                )
+            fetch = full
 
     def batch_search(
         self,
@@ -228,18 +277,13 @@ class DynamicP2HIndex:
         """Fold the buffer and purge tombstones into a freshly built index."""
         self._mutation_version += 1
         live_points, live_ids = self._live_points()
-        self._buffer_ids = []
-        self._buffer_points = []
-        self._tombstones = set()
-        if live_ids.size == 0:
-            self._static_index = None
-            self._static_ids = np.empty(0, dtype=np.int64)
-            self._static_points = None
-            return
-        self._static_points = live_points
-        self._static_ids = live_ids
-        self._static_index = self.index_factory().fit(live_points)
-        self.num_rebuilds += 1
+        # Release the old tree and rows before fitting, so a rebuild never
+        # holds them beside the new ones.
+        self._set_static(None, live_ids, live_points if live_ids.size else None)
+        self._clear_buffer()
+        if live_ids.size:
+            self._static_index = self.index_factory().fit(live_points)
+            self.num_rebuilds += 1
 
     # ------------------------------------------------------------ persistence
 
@@ -288,44 +332,77 @@ class DynamicP2HIndex:
     def point(self, point_id: int) -> np.ndarray:
         """Return the raw coordinates of a live point by id."""
         point_id = int(point_id)
-        if point_id in self._tombstones:
-            raise KeyError(f"point {point_id} has been deleted")
-        positions = np.nonzero(self._static_ids == point_id)[0]
-        if positions.size:
-            return self._static_points[int(positions[0])].copy()
-        for buffered_id, row in zip(self._buffer_ids, self._buffer_points):
-            if buffered_id == point_id:
-                return row.copy()
+        wanted = np.array([point_id], dtype=np.int64)
+        for ids, live, rows in (
+            (self._static_ids, self._static_live, self._static_points),
+            (self._buffer_ids, self._buffer_live, self._buffer_rows),
+        ):
+            found = _positions(ids, wanted)
+            if found.size:
+                if not live[found[0]]:
+                    raise KeyError(f"point {point_id} has been deleted")
+                # Buffer rows carry the augmented coordinate; drop it.
+                return rows[found[0], : self.dim].copy()
         raise KeyError(f"unknown point id {point_id}")
 
     # ------------------------------------------------------------ internals
 
-    def _live_ids(self) -> Set[int]:
-        ids = {int(i) for i in self._static_ids}
-        ids.update(self._buffer_ids)
-        ids -= self._tombstones
-        return ids
+    def _append_buffer(self, ids: np.ndarray, points: np.ndarray) -> None:
+        rows = augment_points(points)
+        if self._buffer_ids.size:
+            rows = np.vstack([self._buffer_rows, rows])
+        self._buffer_rows = rows
+        self._buffer_ids = np.concatenate([self._buffer_ids, ids])
+        self._buffer_live = np.concatenate(
+            [self._buffer_live, np.ones(ids.size, dtype=bool)]
+        )
+
+    def _mark_deleted(self, ids) -> int:
+        """Clear the live flag of every listed id; returns how many were live."""
+        requested = np.unique(np.asarray(ids, dtype=np.int64))
+        static = _clear_live(self._static_ids, self._static_live, requested)
+        buffered = _clear_live(self._buffer_ids, self._buffer_live, requested)
+        self._static_dead += static
+        self._buffer_dead += buffered
+        return static + buffered
 
     def _live_points(self):
-        rows: List[np.ndarray] = []
-        ids: List[int] = []
-        if self._static_points is not None:
-            for row, point_id in zip(self._static_points, self._static_ids):
-                if int(point_id) not in self._tombstones:
-                    rows.append(row)
-                    ids.append(int(point_id))
-        for point_id, row in zip(self._buffer_ids, self._buffer_points):
-            if point_id not in self._tombstones:
-                rows.append(row)
-                ids.append(point_id)
-        if not rows:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64)
-        return np.vstack(rows), np.asarray(ids, dtype=np.int64)
+        """Raw rows and ids of every live point, static ones first."""
+        static = np.flatnonzero(self._static_live)
+        buffered = np.flatnonzero(self._buffer_live)
+        ids = np.concatenate([self._static_ids[static], self._buffer_ids[buffered]])
+        points = np.empty((ids.size, self.dim or 0))
+        # Gather straight into ``points``: a rebuild then holds one copy of
+        # the live rows, not two (``mode="clip"`` skips take's defensive
+        # copy of ``out``; every position is in range).
+        if static.size:
+            np.take(self._static_points, static, axis=0,
+                    out=points[:static.size], mode="clip")
+        if buffered.size:
+            np.take(self._buffer_rows[:, :-1], buffered, axis=0,
+                    out=points[static.size:], mode="clip")
+        return points, ids
 
     def _maybe_rebuild(self) -> None:
         if not self.auto_rebuild:
             return
         base = max(int(self._static_ids.size), 1)
-        pending = len(self._buffer_ids) + len(self._tombstones)
+        pending = self.buffer_size + self.num_tombstones
         if self._static_index is None or pending > self.rebuild_threshold * base:
             self.rebuild()
+
+
+def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Positions in the sorted ``ids`` of the ``wanted`` ids it holds."""
+    pos = np.searchsorted(ids, wanted)
+    held = pos < ids.size
+    pos = pos[held]
+    return pos[ids[pos] == wanted[held]]
+
+
+def _clear_live(ids: np.ndarray, live: np.ndarray, wanted: np.ndarray) -> int:
+    """Clear ``live`` at the unique ``wanted`` ids; returns how many were live."""
+    pos = _positions(ids, wanted)
+    pos = pos[live[pos]]
+    live[pos] = False
+    return int(pos.size)

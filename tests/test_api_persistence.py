@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import IndexSpec, build_index, load_index, save_index, saved_spec
 from repro.core.dynamic import DynamicP2HIndex
+from repro.core.factories import DefaultBCTreeFactory
 from repro.core.partitioned import PartitionedP2HIndex
 from repro.utils import persistence
 
@@ -103,6 +104,55 @@ class TestDynamicPersistence:
         assert more.size == 10
         loaded.rebuild()
         assert loaded.num_tombstones == 0
+
+    def test_payload_with_tombstone_set_layout_loads(self, tmp_path):
+        """Payloads pickled before the live masks (a ``_tombstones`` set and
+        ``_buffer_ids``/``_buffer_points`` lists; cluster directories saved
+        then hold such shards) load with the same state and answers as the
+        same history built fresh."""
+        factory = DefaultBCTreeFactory(0)
+        extra = np.random.default_rng(8).normal(size=(20, 9))
+        n = len(POINTS)
+        deleted = [0, 1, 2, 3, 4, 5, 6, n + 2, n + 15]
+        fresh = DynamicP2HIndex(factory, auto_rebuild=False)
+        fresh.insert(POINTS)
+        fresh.rebuild()
+        fresh.insert(extra)
+        fresh.delete(deleted)
+        old_state = {
+            "index_factory": factory,
+            "rebuild_threshold": 0.25,
+            "auto_rebuild": False,
+            "_static_index": factory().fit(POINTS),
+            "_static_ids": np.arange(n, dtype=np.int64),
+            "_static_points": POINTS.copy(),
+            "_buffer_ids": list(range(n, n + 20)),
+            "_buffer_points": [row.copy() for row in extra],
+            "_tombstones": set(deleted),
+            "_next_id": n + 20,
+            "num_rebuilds": 1,
+            "_mutation_version": 4,
+        }
+        old = DynamicP2HIndex.__new__(DynamicP2HIndex)
+        old.__dict__.update(old_state)  # pickled as its state, verbatim
+        path = tmp_path / "old_layout.idx"
+        persistence.dump_index_payload(path, old)
+        loaded = [DynamicP2HIndex.load(path), load_index(path)]
+        for index in [fresh] + loaded:
+            assert isinstance(index, DynamicP2HIndex)
+            assert index.num_points == n + 20 - 9
+            assert index.buffer_size == 20
+            assert index.num_tombstones == 9
+        for index in loaded:
+            _assert_same_answers(fresh, index)
+            with pytest.raises(KeyError, match="deleted"):
+                index.point(n + 2)
+            np.testing.assert_array_equal(index.point(n + 3), extra[3])
+            index.rebuild()
+            assert index.num_tombstones == 0 and index.buffer_size == 0
+        fresh.rebuild()
+        for index in loaded:
+            _assert_same_answers(fresh, index)
 
     def test_round_trip_through_api_with_spec(self, tmp_path):
         spec = IndexSpec("dynamic", {

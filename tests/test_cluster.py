@@ -19,7 +19,13 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.api import IndexSpec, build_index, describe_index, save_index
+from repro.api import (
+    IndexSpec,
+    build_index,
+    describe_index,
+    load_index,
+    save_index,
+)
 from repro.cli import main as cli_main
 from repro.cluster import (
     ClusterManager,
@@ -172,6 +178,33 @@ def test_build_cluster_dir_round_trips(tmp_path):
     assert reread.spec == manifest.spec
     ids = np.concatenate([e.load_point_ids() for e in reread.shards])
     np.testing.assert_array_equal(np.sort(ids), np.arange(len(points)))
+
+
+@pytest.mark.parametrize("auto_rebuild", [True, False])
+def test_build_cluster_dir_fits_each_dynamic_shard_once(tmp_path, auto_rebuild):
+    """Dynamic shards are saved fitted, after exactly one rebuild, with
+    local ids ``0..n-1`` in slice order, whether or not they rebuild on
+    their own."""
+    points = make_points(60)
+    spec = {
+        "kind": "dynamic",
+        "params": {"index": SUB_SPEC, "auto_rebuild": auto_rebuild},
+    }
+    manifest = build_cluster_dir(
+        points, cluster_spec(2, index=spec), tmp_path / "c"
+    )
+    for entry in manifest.shards:
+        shard = load_index(entry.payload_path)
+        assert shard.num_rebuilds == 1
+        assert shard.buffer_size == 0
+        assert shard.num_points == entry.size
+        global_ids = entry.load_point_ids()
+        for local_id, global_id in enumerate(global_ids):
+            np.testing.assert_array_equal(
+                shard.point(local_id), points[global_id]
+            )
+        with pytest.raises(KeyError):
+            shard.point(entry.size)
 
 
 def test_read_manifest_errors(tmp_path):

@@ -70,7 +70,9 @@ class TestInsert:
 
 
 class TestDelete:
-    def test_deleted_points_never_returned(self, dynamic_index, small_queries):
+    def test_deleted_points_never_returned(
+        self, dynamic_index, small_clustered_data, small_queries
+    ):
         query = small_queries[0]
         before = dynamic_index.search(query, k=5)
         removed = dynamic_index.delete(before.indices)
@@ -78,6 +80,14 @@ class TestDelete:
         after = dynamic_index.search(query, k=5)
         assert not set(int(i) for i in before.indices) & set(
             int(i) for i in after.indices
+        )
+        # The query's own neighbours were deleted, so the static index's
+        # first fetch runs short and the answer comes from the fallback.
+        live = np.ones(len(small_clustered_data), dtype=bool)
+        live[before.indices] = False
+        truth = _exact_distances(small_clustered_data[live], query, 5)
+        np.testing.assert_allclose(
+            np.sort(after.distances), np.sort(truth), atol=1e-9
         )
 
     def test_delete_is_idempotent(self, dynamic_index):
@@ -132,6 +142,30 @@ class TestRebuild:
         index.rebuild()
         assert index.num_tombstones == 0
         assert index.num_points == gaussian_blob.shape[0] - 20
+
+    def test_rebuild_trigger_counts_buffer_rows_and_tombstones(self):
+        """A rebuild runs the first time buffer rows (deleted ones included)
+        plus tombstones exceed ``rebuild_threshold`` x the static size:
+        here 0.05 x 1,000 = 50, reached by the 7th update's inserts."""
+        rng = np.random.default_rng(11)
+        index = DynamicP2HIndex(random_state=0, rebuild_threshold=0.05)
+        static_ids = index.insert(rng.normal(size=(1000, 6)))
+        assert index.num_rebuilds == 1
+        for update in range(1, 8):
+            new_ids = index.insert(rng.normal(size=(4, 6)))
+            assert index.num_rebuilds == (2 if update == 7 else 1)
+            # Two of the four deletes hit rows still in the buffer.
+            removed = index.delete(np.concatenate(
+                [new_ids[:2], static_ids[2 * update: 2 * update + 2]]
+            ))
+            assert removed == 4
+            assert index.num_rebuilds == (2 if update == 7 else 1)
+            if update < 7:
+                assert index.buffer_size == 4 * update
+                assert index.num_tombstones == 4 * update
+        assert index.buffer_size == 0
+        assert index.num_tombstones == 4
+        assert index.num_points == 1000
 
     def test_rebuild_on_empty_index(self):
         index = DynamicP2HIndex(random_state=0)
@@ -188,12 +222,15 @@ class TestAccessorsAndValidation:
 
 class TestDynamicProperty:
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 5_000))
-    def test_random_insert_delete_sequences_stay_exact(self, seed):
+    @given(seed=st.integers(0, 5_000), delete_top_k=st.booleans())
+    def test_random_insert_delete_sequences_stay_exact(self, seed, delete_top_k):
         """After an arbitrary insert/delete sequence the dynamic index answers
-        exactly like a linear scan over the surviving points."""
+        exactly like a linear scan over the surviving points.  Rounds delete
+        random ids, or the query's current top-k (the deletion pattern that
+        leaves the static index's first fetch short)."""
         rng = np.random.default_rng(seed)
         d = int(rng.integers(3, 8))
+        query = rng.normal(size=d + 1)
         index = DynamicP2HIndex(random_state=seed, rebuild_threshold=0.3)
         live = {}
         next_rows = rng.normal(size=(60, d))
@@ -204,19 +241,23 @@ class TestDynamicProperty:
             extra = rng.normal(size=(int(rng.integers(5, 25)), d))
             new_ids = index.insert(extra)
             live.update({int(i): row for i, row in zip(new_ids, extra)})
-            candidates = list(live)
-            to_drop = [
-                candidates[int(j)]
-                for j in rng.integers(0, len(candidates), size=min(8, len(candidates)))
-            ]
+            if delete_top_k:
+                to_drop = [int(i) for i in index.search(query, k=5).indices]
+            else:
+                candidates = list(live)
+                to_drop = [
+                    candidates[int(j)]
+                    for j in rng.integers(
+                        0, len(candidates), size=min(8, len(candidates))
+                    )
+                ]
             index.delete(to_drop)
             for dropped in to_drop:
                 live.pop(dropped, None)
 
-        query = rng.normal(size=d + 1)
-        surviving = np.vstack([live[key] for key in sorted(live)])
-        expected = _exact_distances(surviving, query, min(5, len(live)))
-        result = index.search(query, k=min(5, len(live)))
-        np.testing.assert_allclose(
-            np.sort(result.distances), np.sort(expected), atol=1e-9
-        )
+            surviving = np.vstack([live[key] for key in sorted(live)])
+            expected = _exact_distances(surviving, query, min(5, len(live)))
+            result = index.search(query, k=min(5, len(live)))
+            np.testing.assert_allclose(
+                np.sort(result.distances), np.sort(expected), atol=1e-9
+            )
