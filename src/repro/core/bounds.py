@@ -12,10 +12,14 @@ These are the three bounds the paper derives:
 
 All functions accept either scalars or NumPy arrays for the per-point
 quantities so the BC-Tree leaf scan can evaluate them in a single
-vectorized pass.
+vectorized pass.  :func:`cone_envelope_may_prune` evaluates the cone
+bound's prune tests once per leaf, on the leaf's extremes, to tell whether
+the per-point pass can prune anything at all.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -92,7 +96,8 @@ def query_angle_terms(
         return 0.0, query_norm
     q_cos = ip_center / center_norm
     radicand = query_norm * query_norm - q_cos * q_cos
-    q_sin = float(np.sqrt(radicand)) if radicand > 0.0 else 0.0
+    # math.sqrt and np.sqrt are both correctly rounded: same bits
+    q_sin = math.sqrt(radicand) if radicand > 0.0 else 0.0
     return float(q_cos), q_sin
 
 
@@ -209,6 +214,36 @@ def cone_prune_mask_block(
         pos_rows[:, None],
         (x_cos_pos[None, :] & (diff >= thresholds[:, None])) | sum_le,
         sum_le,
+    )
+
+
+def cone_envelope_may_prune(
+    q_cos, q_sin, cos_max, cos_min, sin_min, threshold
+):
+    """Whether the cone prune tests can fire for any point of a leaf.
+
+    ``cos_max``/``cos_min`` are the largest and smallest ``x_cos`` of the
+    leaf's points and ``sin_min`` the smallest ``x_sin``.  The tests of
+    :func:`cone_prune_mask_block` (and of the one-query scan) are
+    re-evaluated on these extremes with the same float operations in the
+    same order: case 1, ``q_cos * x_cos - q_sin * x_sin >= threshold``
+    (only when ``q_cos > 0``), is largest at ``cos_max`` and ``sin_min``;
+    case 2, ``q_cos * x_cos + q_sin * x_sin <= -threshold``, is smallest
+    at ``sin_min`` and at whichever ``x_cos`` extreme minimizes the product
+    (both are tested).  IEEE rounding is monotone, so each rounded
+    extreme bounds every point's rounded value, ties included: when this
+    returns false the per-point mask has no true entry.
+
+    Works elementwise on a block of queries (arrays ``q_cos``, ``q_sin``,
+    ``threshold``) and on one query's plain floats alike.
+    """
+    scaled = q_sin * sin_min
+    at_max = q_cos * cos_max
+    neg_threshold = -threshold
+    return (
+        ((q_cos > 0.0) & (at_max - scaled >= threshold))
+        | (q_cos * cos_min + scaled <= neg_threshold)
+        | (at_max + scaled <= neg_threshold)
     )
 
 

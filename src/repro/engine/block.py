@@ -50,6 +50,25 @@ leaf group, and a lean inlined top-k heap that replicates
 its tie-breaking arrival order).  The correctness oracle is the linear
 scan: the property suite checks every tree family against brute force.
 
+Bounds that cannot prune
+------------------------
+At most leaves a query scans, BC-Tree's point-level bounds cannot prune a
+single point, yet each pass over a leaf costs several NumPy calls.  Every
+leaf therefore has an envelope, derived once by the engine: the radius of
+its last point (radii are sorted descending, so that point has the
+largest ball bound), the largest and smallest ``point_cos`` and the
+smallest ``point_sin``.  Before the ball cut and the cone mask, a leaf
+scan evaluates the same expressions on the envelope, with the same float
+operations in the same order
+(:func:`~repro.core.bounds.cone_envelope_may_prune` for the cone).  IEEE
+rounding is monotone, so the envelope's value bounds every point's value
+from the pruning side, ties included: when it cannot reach the threshold,
+no point's can, the pass would have pruned nothing, and skipping it
+leaves the cut, the mask, every result and every counter unchanged.  A
+group scan runs each pass on the subset of members whose envelope test
+can fire; every row of the 2-D passes is elementwise, so a row subset
+keeps its bits.  ``tests/test_counter_snapshot.py`` pins the decisions.
+
 Scope
 -----
 Ball-Tree, BC-Tree (with or without the ball/cone bounds and the
@@ -109,6 +128,7 @@ from typing import List
 import numpy as np
 
 from repro.core.bounds import (
+    cone_envelope_may_prune,
     cone_prune_mask_block,
     point_ball_bound,
     point_cone_bound,
@@ -265,6 +285,7 @@ class BlockTraversalKernel:
             point_sin = engine._point_sin
             point_cos_pos = engine._point_cos_pos
             center_norms = engine._center_norms
+            last_radius, cos_max, cos_min, sin_min = engine._leaf_envelope
 
         budgeted = budget != _INF
         # The node-value strategy rule: under a tight budget node inner
@@ -476,7 +497,8 @@ class BlockTraversalKernel:
             The leaf's points are sorted by descending ``r_x``, so the ball
             bound is non-decreasing along the leaf and one ``searchsorted``
             prunes the whole tail; the cone bound then filters the
-            survivors elementwise, at the leaf-entry threshold.
+            survivors elementwise, at the leaf-entry threshold.  Each pass
+            runs only when the leaf's envelope says it can prune.
             """
             nleaves[q] += 1
             s = start_arr[node]
@@ -487,16 +509,16 @@ class BlockTraversalKernel:
                 tic = perf_counter()
             cut = size
             if use_ball and thr != _INF:
-                if thr <= 0.0:
-                    cut = 0
-                else:
-                    # max(|ip| - ||q|| r_x, 0) >= thr, with thr > 0, is
-                    # unaffected by the flooring at zero, so the unfloored
-                    # (ascending) bound array feeds searchsorted directly.
-                    abs_ip = ip_node if ip_node >= 0.0 else -ip_node
+                # max(|ip| - ||q|| r_x, 0) >= thr, with thr > 0 (a leaf is
+                # scanned only below its floored node bound), is unaffected
+                # by the flooring, so the unfloored (ascending) bound array
+                # feeds searchsorted directly; its largest entry, the last
+                # point's, says whether any point is pruned at all.
+                abs_ip = ip_node if ip_node >= 0.0 else -ip_node
+                if abs_ip - qnorm * last_radius[node] >= thr:
                     ball = abs_ip - qnorm * point_radius[s:e]
                     cut = int(ball.searchsorted(thr, side="left"))
-                pball[q] += size - cut
+                    pball[q] += size - cut
             if profile:
                 toc = perf_counter()
                 stage_lb[q] += toc - tic
@@ -513,30 +535,37 @@ class BlockTraversalKernel:
             verified = cut
             # The cone bound costs a handful of vectorized operations per
             # leaf; when only a few points survive the ball bound,
-            # verifying them directly is cheaper than evaluating it.
+            # verifying them directly is cheaper than evaluating it, and
+            # when the leaf's envelope rules every point out it is skipped.
             if cut > 8 and use_cone and thr != _INF:
                 q_cos, q_sin = query_angle_terms(
                     ip_node, qnorm, center_norms[node]
                 )
-                prod = q_cos * point_cos[s: s + cut]
-                scaled = q_sin * point_sin[s: s + cut]
-                # Theorem 3's case analysis, simplified for thr > 0: the
-                # case-1 bound cos(theta + phi) prunes when q_cos > 0,
-                # x_cos > 0 and cos_sum >= thr (cos_sum > 0 is then
-                # implied); the case-2 bound -cos(theta - phi) prunes when
-                # cos_diff <= -thr (which implies cos_diff < 0 and, since
-                # cos_sum <= cos_diff, rules case 1 out).
-                if q_cos > 0.0:
-                    pruned = (
-                        point_cos_pos[s: s + cut] & (prod - scaled >= thr)
-                    ) | (prod + scaled <= -thr)
-                else:
-                    pruned = prod + scaled <= -thr
-                num_pruned = int(np.count_nonzero(pruned))
-                if num_pruned:
-                    pcone[q] += num_pruned
-                    verified = cut - num_pruned
-                    keep = ~pruned
+                if cone_envelope_may_prune(
+                    q_cos, q_sin, cos_max[node], cos_min[node],
+                    sin_min[node], thr,
+                ):
+                    prod = q_cos * point_cos[s: s + cut]
+                    scaled = q_sin * point_sin[s: s + cut]
+                    # Theorem 3's case analysis, simplified for thr > 0:
+                    # the case-1 bound cos(theta + phi) prunes when
+                    # q_cos > 0, x_cos > 0 and cos_sum >= thr (cos_sum > 0
+                    # is then implied); the case-2 bound -cos(theta - phi)
+                    # prunes when cos_diff <= -thr (which implies
+                    # cos_diff < 0 and, since cos_sum <= cos_diff, rules
+                    # case 1 out).
+                    if q_cos > 0.0:
+                        pruned = (
+                            point_cos_pos[s: s + cut]
+                            & (prod - scaled >= thr)
+                        ) | (prod + scaled <= -thr)
+                    else:
+                        pruned = prod + scaled <= -thr
+                    num_pruned = int(np.count_nonzero(pruned))
+                    if num_pruned:
+                        pcone[q] += num_pruned
+                        verified = cut - num_pruned
+                        keep = ~pruned
             if profile:
                 stage_lb[q] += perf_counter() - tic
             cand[q] += verified
@@ -725,9 +754,8 @@ class BlockTraversalKernel:
             nleaves_arr[live] += 1
             qn_g = qn.take(live)
             live_list = live.tolist()
-            if all_inf:
-                cuts = np.full(g, size, dtype=np.int64)
-            elif use_ball:
+            cuts = np.full(g, size, dtype=np.int64)
+            if use_ball and not all_inf:
                 if lazy_values:
                     # same |ip| the scalar scan derives from the lazy ddot
                     # (cached since the bound test at this node's pop)
@@ -736,12 +764,21 @@ class BlockTraversalKernel:
                     )
                 else:
                     aip = AT[node].take(live)
-                ball = aip[:, None] - qn_g[:, None] * point_radius[None, s:e]
-                cuts = (ball < thr_g[:, None]).sum(axis=1)
-                np.copyto(cuts, 0, where=thr_g <= 0.0)
-                pball_arr[live] += size - cuts
-            else:
-                cuts = np.full(g, size, dtype=np.int64)
+                # the ball cut runs for the members whose largest point
+                # bound (the last point's) reaches their threshold
+                reach = np.flatnonzero(
+                    aip - qn_g * last_radius[node] >= thr_g
+                )
+                if reach.shape[0]:
+                    ball = (
+                        aip.take(reach)[:, None]
+                        - qn_g.take(reach)[:, None] * point_radius[None, s:e]
+                    )
+                    reach_cuts = (
+                        ball < thr_g.take(reach)[:, None]
+                    ).sum(axis=1)
+                    cuts[reach] = reach_cuts
+                    pball_arr[live.take(reach)] += size - reach_cuts
             maxcut = int(cuts.max())
             if maxcut == 0:
                 return
@@ -756,12 +793,9 @@ class BlockTraversalKernel:
                     )
             np.abs(D, out=D)
 
-            cone_applied = None
             cone_rows = None
-            valid = None
             counted = cuts
             if use_cone and not all_inf and maxcut > 8:
-                ce = s + maxcut
                 if lazy_values:
                     ip_g = np.array(
                         [iprow_cache[q][node] for q in live_list]
@@ -771,23 +805,40 @@ class BlockTraversalKernel:
                 q_cos, q_sin = query_angle_terms_block(
                     ip_g, qn_g, center_norms[node]
                 )
-                cone_rows = cone_prune_mask_block(
-                    q_cos,
-                    q_sin,
-                    point_cos[s:ce],
-                    point_sin[s:ce],
-                    point_cos_pos[s:ce],
-                    thr_g,
+                # the cone mask runs for the members with more than 8
+                # points left whose leaf envelope can prune; its rows are
+                # elementwise, so a row subset keeps every bit
+                may = np.flatnonzero(
+                    (cuts > 8)
+                    & cone_envelope_may_prune(
+                        q_cos, q_sin, cos_max[node], cos_min[node],
+                        sin_min[node], thr_g,
+                    )
                 )
-                valid = col_idx[None, :maxcut] < cuts[:, None]
-                cone_rows &= valid
-                num_pruned = np.count_nonzero(cone_rows, axis=1)
-                cone_applied = (cuts > 8) & (num_pruned > 0)
-                if cone_applied.any():
-                    pcone_arr[live[cone_applied]] += num_pruned[cone_applied]
-                    counted = np.where(cone_applied, cuts - num_pruned, cuts)
-                else:
-                    cone_applied = None
+                if may.shape[0]:
+                    may_cuts = cuts.take(may)
+                    width = int(may_cuts.max())
+                    ce = s + width
+                    cone_rows = cone_prune_mask_block(
+                        q_cos.take(may),
+                        q_sin.take(may),
+                        point_cos[s:ce],
+                        point_sin[s:ce],
+                        point_cos_pos[s:ce],
+                        thr_g.take(may),
+                    )
+                    cone_rows &= col_idx[None, :width] < may_cuts[:, None]
+                    num_pruned = np.count_nonzero(cone_rows, axis=1)
+                    hit = num_pruned > 0
+                    if hit.any():
+                        cone_members = may[hit]
+                        cone_rows = cone_rows[hit]
+                        num_pruned = num_pruned[hit]
+                        pcone_arr[live.take(cone_members)] += num_pruned
+                        counted = cuts.copy()
+                        counted[cone_members] -= num_pruned
+                    else:
+                        cone_rows = None
             cand_arr[live] += counted
             if budgeted:
                 VER[live] += counted
@@ -798,15 +849,10 @@ class BlockTraversalKernel:
                     live_list, perm[s: s + maxcut], D, g, maxcut
                 )
                 return
-            if valid is None:
-                valid = col_idx[None, :maxcut] < cuts[:, None]
             om = D < thr_g[:, None]
-            om &= valid
-            if cone_applied is not None:
-                np.logical_not(cone_rows, out=cone_rows)
-                np.logical_and(
-                    om, cone_rows, out=om, where=cone_applied[:, None]
-                )
+            om &= col_idx[None, :maxcut] < cuts[:, None]
+            if cone_rows is not None:
+                om[cone_members, :width] &= ~cone_rows
             offering = np.nonzero(om.any(axis=1))[0]
             if offering.shape[0] == 0:
                 return

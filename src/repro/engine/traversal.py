@@ -98,6 +98,31 @@ class LeafPruningData:
     use_cone_bound: bool
 
 
+def _leaf_envelopes(leaf_data: LeafPruningData, start, end, left_child):
+    """Per-node ``(last_radius, cos_max, cos_min, sin_min)`` lists.
+
+    For every non-empty leaf: the radius of its last point (radii are
+    sorted descending, so that point has the leaf's largest ball bound),
+    the extremes of ``point_cos`` and the smallest ``point_sin``, which
+    :func:`~repro.core.bounds.cone_envelope_may_prune` tests.  Internal
+    nodes hold 0.0.  Derived at engine build, so never pickled.
+    """
+    num_nodes = len(start)
+    is_leaf = (left_child < 0) & (end > start)
+    leaves = np.flatnonzero(is_leaf)
+    leaves = leaves[np.argsort(start[leaves], kind="stable")]
+    starts = start[leaves]
+    envelope = np.zeros((4, num_nodes))
+    if leaves.shape[0]:
+        # leaves tile the leaf-ordered arrays, so each reduceat segment
+        # [start, next start) is exactly one leaf
+        envelope[0, leaves] = leaf_data.point_radius[end[leaves] - 1]
+        envelope[1, leaves] = np.maximum.reduceat(leaf_data.point_cos, starts)
+        envelope[2, leaves] = np.minimum.reduceat(leaf_data.point_cos, starts)
+        envelope[3, leaves] = np.minimum.reduceat(leaf_data.point_sin, starts)
+    return tuple(row.tolist() for row in envelope)
+
+
 class TraversalEngine:
     """The flat tree one fitted index's kernels walk.
 
@@ -170,6 +195,9 @@ class TraversalEngine:
             self._point_sin = leaf_data.point_sin
             self._use_ball_bound = leaf_data.use_ball_bound
             self._use_cone_bound = leaf_data.use_cone_bound
+            self._leaf_envelope = _leaf_envelopes(
+                leaf_data, start, end, left_child
+            )
         self.num_nodes = len(self._start)
         self._block_kernel = None
         self._fast_arrays = {}

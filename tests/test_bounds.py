@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import (
+    cone_envelope_may_prune,
+    cone_prune_mask_block,
     kd_box_bound,
     node_ball_bound,
     point_ball_bound,
@@ -175,3 +177,128 @@ class TestKDBoxBound:
         query = np.array([1.0, 0.0])
         bound = kd_box_bound(query, np.array([2.0, -1.0]), np.array([3.0, 1.0]))
         assert bound == pytest.approx(2.0)
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(
+    min_value=0.0, max_value=100.0, exclude_min=True, **_FINITE
+)
+
+
+@st.composite
+def _leaf_and_query(draw):
+    """A random leaf (descending radii, ``point_sin >= 0``), query terms
+    with ``q_cos`` of either sign, and a positive threshold drawn, most of
+    the time, from one of the leaf's own bound values so that ties occur."""
+    m = draw(st.integers(1, 24))
+    unit = st.lists(st.floats(-1.0, 1.0, **_FINITE), min_size=m, max_size=m)
+
+    def spread_values():
+        # a center plus a spread: leaves whose x_cos all share one sign
+        # are common, as in real leaves around their center direction
+        center = draw(st.floats(-20.0, 20.0, **_FINITE))
+        spread = draw(st.floats(0.0, 20.0, **_FINITE))
+        return center + spread * np.array(draw(unit))
+
+    radii = np.sort(np.abs(spread_values()))[::-1].copy()
+    x_cos = spread_values()
+    x_sin = np.abs(spread_values())
+    q_cos = draw(st.floats(-5.0, 5.0, **_FINITE))
+    q_sin = draw(st.floats(0.0, 5.0, **_FINITE))
+    abs_ip = draw(st.floats(0.0, 50.0, **_FINITE))
+    query_norm = draw(_POSITIVE)
+    i = draw(st.integers(0, m - 1))
+    source = draw(st.sampled_from(["ball", "case1", "case2", "free"]))
+    # the same float operations, in the same order, as the leaf scans
+    threshold = {
+        "ball": abs_ip - query_norm * radii[i],
+        "case1": q_cos * x_cos[i] - q_sin * x_sin[i],
+        "case2": -(q_cos * x_cos[i] + q_sin * x_sin[i]),
+        "free": 0.0,
+    }[source]
+    if not threshold > 0.0:
+        # a scanned leaf always has a positive threshold
+        threshold = draw(_POSITIVE)
+    threshold = float(threshold)
+    return radii, x_cos, x_sin, q_cos, q_sin, abs_ip, query_norm, threshold
+
+
+class TestLeafEnvelope:
+    """The per-leaf envelopes that let the BC-Tree leaf scans skip bound
+    passes: a pass may be skipped only when it could not prune."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_leaf_and_query())
+    @example(
+        # a case-1 tie on the point with the largest x_cos: an envelope
+        # tested at cos_min instead of cos_max would miss it
+        case=(
+            np.array([2.0, 1.0]), np.array([1.0, 3.0]), np.array([0.0, 0.0]),
+            1.0, 0.0, 0.5, 1.0, 3.0,
+        )
+    )
+    def test_envelope_no_means_no_point_pruned(self, case):
+        radii, x_cos, x_sin, q_cos, q_sin, abs_ip, query_norm, thr = case
+        # ball: the last point has the leaf's largest bound
+        if abs_ip - query_norm * float(radii[-1]) < thr:
+            ball = abs_ip - query_norm * radii
+            assert int(ball.searchsorted(thr, side="left")) == radii.shape[0]
+        # cone: the extremes bound every point's rounded test value
+        may = cone_envelope_may_prune(
+            q_cos, q_sin, float(x_cos.max()), float(x_cos.min()),
+            float(x_sin.min()), thr,
+        )
+        mask = cone_prune_mask_block(
+            np.array([q_cos]), np.array([q_sin]), x_cos, x_sin,
+            x_cos > 0.0, np.array([thr]),
+        )
+        if not may:
+            assert not mask.any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cases=st.lists(_leaf_and_query(), min_size=1, max_size=6),
+        bounds=st.tuples(
+            st.floats(-20.0, 20.0, **_FINITE),
+            st.floats(-20.0, 20.0, **_FINITE),
+            st.floats(0.0, 20.0, **_FINITE),
+        ),
+    )
+    def test_block_form_matches_one_query_form(self, cases, bounds):
+        """Group scans call the helper on arrays: row ``i`` must be the
+        one-query answer for query ``i``."""
+        cos_a, cos_b, sin_min = bounds
+        cos_max, cos_min = max(cos_a, cos_b), min(cos_a, cos_b)
+        q_cos = np.array([c[3] for c in cases])
+        q_sin = np.array([c[4] for c in cases])
+        thr = np.array([c[7] for c in cases])
+        block = cone_envelope_may_prune(
+            q_cos, q_sin, cos_max, cos_min, sin_min, thr
+        )
+        rows = [
+            cone_envelope_may_prune(
+                float(a), float(b), cos_max, cos_min, sin_min, float(t)
+            )
+            for a, b, t in zip(q_cos, q_sin, thr)
+        ]
+        assert block.tolist() == rows
+
+    @pytest.mark.parametrize("leaf_size", [1, 7, 64])
+    def test_engine_envelopes_are_the_leaf_extremes(self, leaf_size):
+        from repro import BCTree
+
+        data = np.random.default_rng(leaf_size).normal(size=(300, 6))
+        index = BCTree(leaf_size=leaf_size, random_state=0).fit(data)
+        engine = index._engine()
+        last_radius, cos_max, cos_min, sin_min = engine._leaf_envelope
+        leaves = 0
+        for node in range(engine.num_nodes):
+            s, e = engine._start[node], engine._end[node]
+            if engine._left[node] >= 0 or e == s:
+                continue
+            leaves += 1
+            assert last_radius[node] == engine._point_radius[e - 1]
+            assert cos_max[node] == engine._point_cos[s:e].max()
+            assert cos_min[node] == engine._point_cos[s:e].min()
+            assert sin_min[node] == engine._point_sin[s:e].min()
+        assert leaves > 1
