@@ -2,7 +2,7 @@
 
 The exact block kernel (:mod:`repro.engine.block`) is bound by its
 bit-identity contract: no cross-query GEMM may feed a pruning decision, so
-every leaf event runs per-group GEMVs and per-candidate Python-level top-k
+every leaf event runs per-query GEMVs and per-candidate Python-level top-k
 offers.  The fast mode (:mod:`repro.engine.fast`) drops that contract —
 float32 leaf-ordered storage, one eager ``centers @ Q`` GEMM for all node
 bounds, batched cross-query leaf GEMMs, and compiled (Numba, with NumPy

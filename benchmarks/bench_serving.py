@@ -20,10 +20,10 @@ same warm :class:`~repro.api.Searcher` session:
 
 The served index is a KD-tree over a Gaussian workload: its per-node
 traversal work is scalar, so per-query dispatch is Python-bound and the
-block kernel's cross-query amortization — the thing coalescing exists to
-reach — is at its clearest.  (The measurement is of the *serving* layer;
-the engine-level kernel-vs-loop ratios per family are pinned by
-``bench_tree_block_kernel.py``.)
+per-request work a coalesced block saves (dispatch, validation, the
+kernel's set-up) is at its clearest.  (The measurement is of the
+*serving* layer; engine-level batch-vs-loop throughput per family is
+recorded by ``bench_tree_block_kernel.py``.)
 
 Asserted: every answer (both modes) is **bit-identical** to direct
 ``searcher.search`` with the same query; both modes report nonzero QPS;

@@ -1,38 +1,29 @@
-"""Extension — block-vectorized tree traversal throughput (Ball/BC/KD).
+"""Extension — exact tree ``batch_search`` throughput (Ball/BC/KD).
 
 Every tree index answers queries with the block traversal kernel
 (:mod:`repro.engine.block`): ``search`` runs it on a one-row block, and
-``batch_search`` pushes whole query blocks down the tree together — one
-frontier walk per query *group*, shared 2-D bound and cone masks per leaf
-— with results and work counters bit-identical to one-row ``search``.  A
-loop of ``search`` calls pays the interpreter and NumPy-dispatch overhead
-of every (query, node) and (query, leaf) event that a block amortizes.
+``batch_search`` runs the same one-row descent on every row of each
+worker's chunk, so results and work counters are bit-identical to a loop
+of one-row ``search`` by construction.  A block saves only the per-call
+work around the descents (option checks, query validation and
+normalization, the kernel's set-up) and, with ``n_jobs > 1``, runs chunks
+in parallel.
 
-Two tests:
-
-* the dataset sweep records queries/second for Ball-Tree, BC-Tree, and
-  KD-Tree across the configured surrogates and ``n_jobs in {1, 2, 4}``,
-  against the one-row loop (``[index.search(q) for q in queries]``);
-* a dedicated 4k-point clustered surrogate with a big query block
-  (where batch traffic actually amortizes: leaf groups stay large all the
-  way down) enforces the >= 2x single-process floor for BC-Tree and pins
-  bit-identity of results *and* ``SearchStats`` against sequential search.
-
-The block kernel's gain is pure overhead amortization — every float it
-produces equals the one-row path's, so there is no accuracy (or even
-work-counter) trade-off anywhere in this table.
+The dataset sweep records queries/second for Ball-Tree, BC-Tree and
+KD-Tree across the configured surrogates and ``n_jobs in {1, 2, 4}``,
+beside the one-row loop (``[index.search(q) for q in queries]``), and
+asserts bit-identity of results *and* ``SearchStats`` against it.  It is
+the one benchmark that records in-process exact KD-Tree ``batch_search``
+throughput; no speedup floor is asserted.
 """
 
 from __future__ import annotations
 
 from repro import BallTree, BCTree, KDTree
-from repro.datasets import random_hyperplane_queries
-from repro.datasets.synthetic import clustered_gaussian
 from repro.eval.reporting import print_and_save
 
 from conftest import (
     assert_block_matches_sequential as _assert_block_matches_sequential,
-    bench_num_points,
     bench_scale_config,
     emit_bench_json,
     measure_batch_throughput,
@@ -42,15 +33,6 @@ from conftest import (
 K = 10
 N_JOBS_GRID = (1, 2, 4)
 
-#: Query-block size of the dedicated floor test.  The block kernel's
-#: grouping survives to the leaves only when the batch is much larger than
-#: the number of distinct branch-preference paths, so the floor lives in
-#: the heavy-batch regime the engine is built for.
-FLOOR_QUERIES = 4096
-
-#: Coarse leaves keep query groups large (fewer preference splits above
-#: them) and amortize more NumPy dispatch per leaf event.
-FLOOR_LEAF_SIZE = 400
 
 def _methods():
     return {
@@ -121,91 +103,3 @@ def test_tree_block_kernel_throughput(benchmark, workloads, results_dir):
     first = next(iter(workloads.values()))
     index = BCTree(leaf_size=100, random_state=0).fit(first.points)
     benchmark(lambda: index.batch_search(first.queries, k=K, n_jobs=1))
-
-
-def test_block_kernel_speedup_floor(results_dir):
-    """>= 2x single-process speedup over the one-row ``search`` loop for
-    BC-Tree.
-
-    The 4k-point clustered surrogate at ``d=20`` is the regime where a
-    one-row search's cost is almost entirely interpreter/dispatch
-    overhead (the leaf GEMVs at that dimension are a few microseconds per
-    query), so the block kernel's amortization shows up undiluted.  The
-    floor is asserted with ``n_jobs=1`` — no worker pool, one process —
-    against the one-row loop over the same query block.  Tiny smoke
-    sizes (CI) only enforce a sanity floor: the kernel's grouping needs the
-    full tree depth to matter, and sub-millisecond workloads flip on
-    scheduler noise.
-    """
-    num_points = min(bench_num_points(), 4000)
-    points = clustered_gaussian(
-        num_points, 20, num_clusters=8, cluster_radius=2.0,
-        center_spread=8.0, rng=21,
-    )
-    queries = random_hyperplane_queries(points, FLOOR_QUERIES, rng=22)
-    floor = 2.0 if num_points >= 4000 else 1.0
-    index = BCTree(leaf_size=FLOOR_LEAF_SIZE, random_state=0).fit(points)
-
-    sequential = [index.search(q, k=K) for q in queries]
-    # Interleave the two measurements so a noisy-neighbor phase on a
-    # shared runner penalizes both sides instead of whichever happened to
-    # run during it; best-of per side is the usual noise floor.
-    loop_qps = 0.0
-    qps = 0.0
-    batch = None
-    for _ in range(4):
-        loop_rep = measure_loop_throughput(index, queries, K, repeats=1)
-        loop_qps = max(loop_qps, loop_rep)
-        qps_rep, batch_rep = measure_batch_throughput(
-            index, queries, K, 1, repeats=1
-        )
-        if qps_rep > qps:
-            qps, batch = qps_rep, batch_rep
-    _assert_block_matches_sequential(batch, sequential)
-
-    speedup = qps / loop_qps if loop_qps else 0.0
-    print()
-    print_and_save(
-        [
-            {
-                "method": "BC-Tree",
-                "num_points": num_points,
-                "num_queries": FLOOR_QUERIES,
-                "leaf_size": FLOOR_LEAF_SIZE,
-                "batch_qps": qps,
-                "loop_qps": loop_qps,
-                "speedup_vs_loop": speedup,
-            }
-        ],
-        [
-            "method",
-            "num_points",
-            "num_queries",
-            "leaf_size",
-            "batch_qps",
-            "loop_qps",
-            "speedup_vs_loop",
-        ],
-        title="Extension: block traversal kernel single-process floor",
-        json_path=results_dir / "tree_block_kernel_floor.json",
-    )
-    emit_bench_json(
-        "tree_block_kernel",
-        test="test_block_kernel_speedup_floor",
-        config={
-            "num_points": num_points,
-            "num_queries": FLOOR_QUERIES,
-            "leaf_size": FLOOR_LEAF_SIZE,
-            "k": K,
-        },
-        metrics={
-            "batch_qps": qps,
-            "loop_qps": loop_qps,
-            "speedup_vs_loop": speedup,
-            "floor": floor,
-        },
-    )
-    assert speedup >= floor, (
-        f"block kernel ({qps:.0f} qps) is only {speedup:.2f}x the one-row "
-        f"search loop ({loop_qps:.0f} qps); expected >= {floor}x"
-    )

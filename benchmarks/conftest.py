@@ -243,8 +243,8 @@ STAT_FIELDS = (
 def assert_block_matches_sequential(batch, sequential):
     """Bit-identical results AND work counters, per query.
 
-    Shared by the block-kernel benchmarks (exact and budgeted) so a new
-    SearchStats counter only needs to be added to ``STAT_FIELDS`` once.
+    Shared by the kernel benchmarks so a new SearchStats counter only
+    needs to be added to ``STAT_FIELDS`` once.
     """
     assert len(batch) == len(sequential)
     for got, expected in zip(batch, sequential):

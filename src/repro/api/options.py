@@ -56,10 +56,10 @@ class SearchOptions:
     profile:
         Collect per-stage wall timers (``"lower_bounds"`` and
         ``"verification"`` in ``SearchStats.stage_seconds``) on the tree
-        indexes.  Batches still run the block traversal kernel, which
-        answers a profiled query on its own one-row sub-block; results and
-        work counters are unchanged.  Incompatible with ``exact=False`` —
-        the stage timers are defined by the exact traversal.
+        indexes.  Batches still run the block traversal kernel; results
+        and work counters are unchanged.  Incompatible with
+        ``exact=False`` — the stage timers are defined by the exact
+        traversal.
     exact:
         True (default) runs the bit-exact engine.  False opts into the
         approximate fast mode on the tree families: reduced-precision

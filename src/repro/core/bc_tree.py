@@ -19,8 +19,8 @@ which evaluates all center inner products of a query in one vectorized pass
 and runs the BC leaf scan (Algorithm 5's ``ScanWithPruning``) — whole leaf
 at the entry threshold by default, point by point with
 ``scan_mode="sequential"``.  ``search`` is a one-row block and
-``batch_search`` descends whole query blocks together with shared per-leaf
-bound evaluation, with the same results and work counters.  The kernel
+``batch_search`` runs the same descent on every row of a worker's chunk,
+with the same results and work counters.  The kernel
 reports the paper's logical inner-product cost: with Lemma 2's
 collaborative strategy (Theorem 5) one inner product per expanded node,
 without it two — which is what the ``collaborative_ip`` flag controls.

@@ -13,9 +13,9 @@ the cheap, cache-friendly stack discipline — which is exactly the trade-off
 the ablation benchmark ``bench_ablation_traversal_order.py`` measures.
 
 Both traversal orders are two modes of the same block traversal kernel
-(:mod:`repro.engine.block`): a stack frontier vs. a heap frontier beside
-it.  This module is a thin façade that runs the owning index's cached
-kernel on one-row blocks with ``order="best_first"``, so BC-Tree's
+(:mod:`repro.engine.block`): a stack frontier vs. a heap frontier, with
+the same leaf scans.  This module is a thin façade that runs the owning
+index's cached kernel with ``order="best_first"``, so BC-Tree's
 point-level leaf pruning and the collaborative inner-product accounting
 apply identically.
 """

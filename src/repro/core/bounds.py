@@ -12,9 +12,10 @@ These are the three bounds the paper derives:
 
 All functions accept either scalars or NumPy arrays for the per-point
 quantities so the BC-Tree leaf scan can evaluate them in a single
-vectorized pass.  :func:`cone_envelope_may_prune` evaluates the cone
-bound's prune tests once per leaf, on the leaf's extremes, to tell whether
-the per-point pass can prune anything at all.
+vectorized pass.  :func:`cone_prune_mask` is the leaf scan's cone test
+for one query, and :func:`cone_envelope_may_prune` evaluates the same
+tests once per leaf, on the leaf's extremes, to tell whether the
+per-point pass can prune anything at all.
 """
 
 from __future__ import annotations
@@ -150,71 +151,37 @@ def point_cone_bound(q_cos: float, q_sin: float, x_cos, x_sin) -> np.ndarray:
     return bound
 
 
-def query_angle_terms_block(
-    ip_center: np.ndarray, query_norms: np.ndarray, center_norm: float
-) -> tuple:
-    """:func:`query_angle_terms` for a block of queries against one center.
+def cone_prune_mask(q_cos, q_sin, x_cos, x_sin, x_cos_pos, threshold):
+    """Cone-bound prune decisions for one query over a leaf's points.
 
-    Every operation is the elementwise image of the scalar function —
-    division, the radicand, and the guarded square root — so each row of
-    the result is bit-identical to calling :func:`query_angle_terms` with
-    that query's scalars (the block traversal kernel relies on this to stay
-    bit-identical to per-query search).
-    """
-    query_norms = np.asarray(query_norms, dtype=np.float64)
-    if center_norm <= 0.0:
-        return np.zeros_like(query_norms), query_norms.copy()
-    q_cos = np.asarray(ip_center, dtype=np.float64) / center_norm
-    radicand = query_norms * query_norms - q_cos * q_cos
-    q_sin = np.where(radicand > 0.0, np.sqrt(np.maximum(radicand, 0.0)), 0.0)
-    return q_cos, q_sin
-
-
-def cone_prune_mask_block(
-    q_cos: np.ndarray,
-    q_sin: np.ndarray,
-    x_cos: np.ndarray,
-    x_sin: np.ndarray,
-    x_cos_pos: np.ndarray,
-    thresholds: np.ndarray,
-) -> np.ndarray:
-    """Cone-bound prune decisions for a block of queries over one leaf.
-
-    Row ``i`` of the returned boolean matrix marks the leaf points whose
-    cone bound (Theorem 3) meets or exceeds ``thresholds[i]`` — the points
-    the vectorized ``ScanWithPruning`` skips.  The case analysis matches
-    the per-query scan exactly (simplified for ``threshold > 0``): case 1,
-    ``cos(theta + phi)``, prunes only when ``q_cos > 0`` and ``x_cos > 0``;
-    case 2, ``-cos(theta - phi)``, prunes when it reaches the threshold
-    (and then rules case 1 out since ``cos_sum <= cos_diff``).  All
-    operations are elementwise, so each row is bit-identical to the
-    per-query evaluation.
+    Marks the points whose cone bound (Theorem 3) meets or exceeds the
+    positive ``threshold`` — the points the vectorized ``ScanWithPruning``
+    skips.  The case analysis of :func:`point_cone_bound`, simplified for
+    ``threshold > 0``: case 1, ``cos(theta + phi) = q_cos * x_cos - q_sin *
+    x_sin``, prunes only when ``q_cos > 0`` and ``x_cos > 0`` (its own
+    ``cos_sum > 0`` is then implied); case 2, ``-cos(theta - phi)``,
+    prunes when ``q_cos * x_cos + q_sin * x_sin <= -threshold``, which
+    implies ``cos_diff < 0`` and, since ``cos_sum <= cos_diff``, rules
+    case 1 out.
 
     Parameters
     ----------
     q_cos, q_sin:
-        Per-query angle terms from :func:`query_angle_terms_block`,
-        shape ``(g,)``.
+        The query's angle terms from :func:`query_angle_terms`.
     x_cos, x_sin:
-        Leaf cone structures, shape ``(m,)``.
+        The points' cone structures, shape ``(m,)``.
     x_cos_pos:
         Precomputed ``x_cos > 0`` mask, shape ``(m,)``.
-    thresholds:
-        Per-query pruning thresholds, shape ``(g,)`` (finite, positive).
+    threshold:
+        The query's pruning threshold (finite, positive).
     """
-    prod = q_cos[:, None] * x_cos[None, :]
-    scaled = q_sin[:, None] * x_sin[None, :]
-    sum_le = prod + scaled <= -thresholds[:, None]
-    pos_rows = q_cos > 0.0
-    if not pos_rows.any():
-        return sum_le
-    diff = prod
-    diff -= scaled  # in place: prod is not needed past this point
-    return np.where(
-        pos_rows[:, None],
-        (x_cos_pos[None, :] & (diff >= thresholds[:, None])) | sum_le,
-        sum_le,
-    )
+    prod = q_cos * x_cos
+    scaled = q_sin * x_sin
+    if q_cos > 0.0:
+        return (x_cos_pos & (prod - scaled >= threshold)) | (
+            prod + scaled <= -threshold
+        )
+    return prod + scaled <= -threshold
 
 
 def cone_envelope_may_prune(
@@ -224,18 +191,15 @@ def cone_envelope_may_prune(
 
     ``cos_max``/``cos_min`` are the largest and smallest ``x_cos`` of the
     leaf's points and ``sin_min`` the smallest ``x_sin``.  The tests of
-    :func:`cone_prune_mask_block` (and of the one-query scan) are
-    re-evaluated on these extremes with the same float operations in the
-    same order: case 1, ``q_cos * x_cos - q_sin * x_sin >= threshold``
-    (only when ``q_cos > 0``), is largest at ``cos_max`` and ``sin_min``;
-    case 2, ``q_cos * x_cos + q_sin * x_sin <= -threshold``, is smallest
-    at ``sin_min`` and at whichever ``x_cos`` extreme minimizes the product
-    (both are tested).  IEEE rounding is monotone, so each rounded
-    extreme bounds every point's rounded value, ties included: when this
-    returns false the per-point mask has no true entry.
-
-    Works elementwise on a block of queries (arrays ``q_cos``, ``q_sin``,
-    ``threshold``) and on one query's plain floats alike.
+    :func:`cone_prune_mask` are re-evaluated on these extremes with the
+    same float operations in the same order: case 1, ``q_cos * x_cos -
+    q_sin * x_sin >= threshold`` (only when ``q_cos > 0``), is largest at
+    ``cos_max`` and ``sin_min``; case 2, ``q_cos * x_cos + q_sin * x_sin
+    <= -threshold``, is smallest at ``sin_min`` and at whichever ``x_cos``
+    extreme minimizes the product (both are tested).  IEEE rounding is
+    monotone, so each rounded extreme bounds every point's rounded value,
+    ties included: when this returns false the per-point mask has no true
+    entry.
     """
     scaled = q_sin * sin_min
     at_max = q_cos * cos_max

@@ -186,7 +186,8 @@ class P2HIndex:
         kernel calls instead of per-query dispatch; the engine chunks the
         block across the worker pool, and results stay bit-identical for
         every ``n_jobs`` because the kernels are per-row independent and
-        ``search`` runs the same kernel on one row.
+        ``search`` runs the same kernel on one row (the tree kernel runs
+        each row's descent alone).
         """
         return execute_batch(
             self, queries, k, n_jobs=n_jobs, executor=executor, **kwargs

@@ -6,9 +6,10 @@ This subpackage owns *how* queries are answered; the index classes under
 * :mod:`repro.engine.block` — :class:`BlockTraversalKernel`, the one
   branch-and-bound traversal behind Ball-Tree, BC-Tree, RP-Tree and
   KD-Tree search: depth-first (stack) or best-first (heap), exact or
-  budgeted, one row for ``search`` or whole query blocks with one shared
-  tree walk for ``batch_search`` — with the same results and work
-  counters either way.
+  budgeted.  It answers every row of a block with the same one-row
+  descent, one row for ``search`` and a worker chunk for
+  ``batch_search``, so results and work counters are the same either
+  way.
 * :mod:`repro.engine.traversal` — :class:`TraversalEngine`, the tree
   geometry and node values the kernels walk, plus the cached kernels
   (including the ``exact=False`` fast tier, :mod:`repro.engine.fast`).

@@ -11,8 +11,8 @@ dispatches it one of two ways, and aggregates the per-query results into a
   a method answering a whole query block in one call — gets one contiguous
   chunk of the query matrix per worker, and its sequential ``search`` runs
   the same kernel on a one-row block.  Two kernel families exist: the tree
-  indexes (Ball-Tree, BC-Tree, RP-Tree, KD-Tree) push query blocks down the
-  tree together through the block traversal kernel
+  indexes (Ball-Tree, BC-Tree, RP-Tree, KD-Tree) run one descent per row
+  of the chunk through the block traversal kernel
   (:mod:`repro.engine.block`), and the hashing baselines
   (:mod:`repro.hashing.base`) probe and verify whole blocks with batched
   table lookups.  Every option these indexes accept goes to the kernel —

@@ -2,10 +2,11 @@
 
 Each tree index (Ball-Tree, BC-Tree, RP-Tree, KD-Tree) is searched by one
 traversal, the block kernel in :mod:`repro.engine.block`: ``search`` runs
-it on a one-row block, ``batch_search`` on worker-sized blocks, and the
-paper's depth-first branch-and-bound (Algorithms 3 and 5), best-first
-order, BC-Tree's sequential leaf scan and ``profile=True`` are all modes of
-that one loop.  :class:`TraversalEngine` is what the kernels walk:
+it on a one-row block, ``batch_search`` on worker-sized blocks, each row
+with the same descent, and the paper's depth-first branch-and-bound
+(Algorithms 3 and 5), best-first order, BC-Tree's sequential leaf scan and
+``profile=True`` are all modes of that one loop.  :class:`TraversalEngine`
+is what the kernels walk:
 
 * the flat tree geometry of one fitted index — per-node arrays mirrored
   as plain Python lists (the interpreter-bound scalar descent avoids NumPy
@@ -272,7 +273,7 @@ class TraversalEngine:
         """The cached exact block kernel over this engine.
 
         The one exact traversal: answers a query block of any size (one
-        row for ``search``) with a shared tree walk whose results *and*
+        row for ``search``) with one descent per row, so results *and*
         work counters do not depend on the block — see
         :mod:`repro.engine.block` for the contract and its modes.
         """

@@ -304,9 +304,9 @@ class TestHashingKernelParity:
 
 class TestTreeKernelParity:
     """The tree indexes are answered by the block traversal kernel
-    (chunked per worker), not a per-query pool; results AND work counters
-    must be bit-identical to sequential ``search`` for every ``n_jobs``
-    and every internal blocking configuration."""
+    (chunked per worker), not a per-query pool.  The kernel runs every row
+    with the one-row descent ``search`` runs, so results AND work counters
+    must be bit-identical to sequential ``search`` for every ``n_jobs``."""
 
     COUNTERS = (
         "nodes_visited",
@@ -338,33 +338,6 @@ class TestTreeKernelParity:
         sequential = [index.search(q, k=K) for q in small_queries]
         batch = index.batch_search(small_queries, k=K, n_jobs=n_jobs)
         self._assert_stats_equal(batch, sequential)
-
-    def test_kernel_sub_blocking_invisible(self, fitted_indexes,
-                                           small_queries, monkeypatch):
-        """The kernel's internal query sub-blocks must not change results
-        (queries are mutually independent)."""
-        import repro.engine.block as block_module
-
-        index = fitted_indexes["bc"]
-        expected = [index.search(q, k=K) for q in small_queries]
-        monkeypatch.setattr(block_module, "BLOCK_QUERIES", 3)
-        batch = index.batch_search(small_queries, k=K)
-        self._assert_stats_equal(batch, expected)
-
-    @pytest.mark.parametrize("cutoff", [0, 10_000])
-    def test_scalar_and_vectorized_paths_agree(self, fitted_indexes,
-                                               small_queries, monkeypatch,
-                                               cutoff):
-        """Forcing the fully vectorized frontier (cutoff 0) and the all-
-        scalar descent (huge cutoff) must both match sequential search —
-        the two implementations compute the same floats."""
-        import repro.engine.block as block_module
-
-        index = fitted_indexes["bc"]
-        expected = [index.search(q, k=K) for q in small_queries]
-        monkeypatch.setattr(block_module, "SCALAR_GROUP_CUTOFF", cutoff)
-        batch = index.batch_search(small_queries, k=K)
-        self._assert_stats_equal(batch, expected)
 
     @pytest.mark.parametrize("name", ["ball", "bc", "kd"])
     def test_process_executor_parity(self, fitted_indexes, small_queries,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import (
     cone_envelope_may_prune,
-    cone_prune_mask_block,
+    cone_prune_mask,
     kd_box_bound,
     node_ball_bound,
     point_ball_bound,
@@ -223,6 +223,19 @@ def _leaf_and_query(draw):
     return radii, x_cos, x_sin, q_cos, q_sin, abs_ip, query_norm, threshold
 
 
+class TestConePruneMask:
+    @settings(max_examples=2000, deadline=None)
+    @given(case=_leaf_and_query())
+    def test_mask_is_theorem_3(self, case):
+        """The leaf scan's cone mask prunes exactly the points whose
+        Theorem 3 bound reaches the threshold, ties included (the draws
+        take thresholds from the points' own case values)."""
+        _, x_cos, x_sin, q_cos, q_sin, _, _, thr = case
+        mask = cone_prune_mask(q_cos, q_sin, x_cos, x_sin, x_cos > 0.0, thr)
+        bound = point_cone_bound(q_cos, q_sin, x_cos, x_sin)
+        assert mask.tolist() == (bound >= thr).tolist()
+
+
 class TestLeafEnvelope:
     """The per-leaf envelopes that let the BC-Tree leaf scans skip bound
     passes: a pass may be skipped only when it could not prune."""
@@ -248,40 +261,9 @@ class TestLeafEnvelope:
             q_cos, q_sin, float(x_cos.max()), float(x_cos.min()),
             float(x_sin.min()), thr,
         )
-        mask = cone_prune_mask_block(
-            np.array([q_cos]), np.array([q_sin]), x_cos, x_sin,
-            x_cos > 0.0, np.array([thr]),
-        )
+        mask = cone_prune_mask(q_cos, q_sin, x_cos, x_sin, x_cos > 0.0, thr)
         if not may:
             assert not mask.any()
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        cases=st.lists(_leaf_and_query(), min_size=1, max_size=6),
-        bounds=st.tuples(
-            st.floats(-20.0, 20.0, **_FINITE),
-            st.floats(-20.0, 20.0, **_FINITE),
-            st.floats(0.0, 20.0, **_FINITE),
-        ),
-    )
-    def test_block_form_matches_one_query_form(self, cases, bounds):
-        """Group scans call the helper on arrays: row ``i`` must be the
-        one-query answer for query ``i``."""
-        cos_a, cos_b, sin_min = bounds
-        cos_max, cos_min = max(cos_a, cos_b), min(cos_a, cos_b)
-        q_cos = np.array([c[3] for c in cases])
-        q_sin = np.array([c[4] for c in cases])
-        thr = np.array([c[7] for c in cases])
-        block = cone_envelope_may_prune(
-            q_cos, q_sin, cos_max, cos_min, sin_min, thr
-        )
-        rows = [
-            cone_envelope_may_prune(
-                float(a), float(b), cos_max, cos_min, sin_min, float(t)
-            )
-            for a, b, t in zip(q_cos, q_sin, thr)
-        ]
-        assert block.tolist() == rows
 
     @pytest.mark.parametrize("leaf_size", [1, 7, 64])
     def test_engine_envelopes_are_the_leaf_extremes(self, leaf_size):

@@ -9,9 +9,10 @@ ties):
 * **batch == sequential** — ``batch_search`` must return bit-identical
   indices, distances, and work counters to per-query ``search`` for every
   index family.  For the tree indexes ``search`` is the block traversal
-  kernel (:mod:`repro.engine.block`) on a one-row block, so this pits its
-  group splitting and vectorized leaf events against the scalar descent;
-  for the hashing baselines it exercises the whole-block hashing kernel.
+  kernel (:mod:`repro.engine.block`) on a one-row block, so this checks
+  that a row's answer does not depend on the block or worker chunk it is
+  answered in; for the hashing baselines it exercises the whole-block
+  hashing kernel.
 * **tree == linear scan** — exact (unbudgeted) tree search, depth-first
   and best-first, must return the true top-k distances, compared against
   a brute-force scan (values up to BLAS ulp differences, multiset-wise so
@@ -38,7 +39,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-import repro.engine.block as block_module  # noqa: E402
 from repro import (  # noqa: E402
     BallTree,
     BCTree,
@@ -89,9 +89,8 @@ TREE_FAMILIES = {
 # "one leaf" to "everything", and absolute counts from 1 (exhaustion inside
 # the very first leaf) past n (budget larger than the data set, so the
 # budgeted path must degenerate to exact search).  Small counts against
-# leaf sizes up to 24 exercise mid-leaf exhaustion — the scalar descent
-# scans the whole crossing leaf and only then stops, and the group
-# frontier must overshoot identically.
+# leaf sizes up to 24 exercise mid-leaf exhaustion — the descent scans
+# the whole crossing leaf and only then stops, in a batch as alone.
 budget_options = st.one_of(
     st.fixed_dictionaries(
         {"candidate_fraction": st.floats(min_value=0.001, max_value=1.0)}
@@ -170,33 +169,6 @@ class TestTreeProperties:
     @given(
         data=problems(),
         family=st.sampled_from(sorted(TREE_FAMILIES)),
-        block_queries=st.integers(min_value=1, max_value=3),
-        cutoff=st.sampled_from([0, 2, 10_000]),
-    )
-    def test_kernel_blocking_invariance(
-        self, data, family, block_queries, cutoff
-    ):
-        """Sub-block size and the scalar-descent cutoff are invisible.
-
-        ``cutoff=0`` forces the fully vectorized frontier, ``10_000``
-        forces the scalar descent for every group: both must agree with
-        the default configuration bit for bit, per query.
-        """
-        points, queries, k, leaf_size = data
-        index = TREE_FAMILIES[family](leaf_size).fit(points)
-        expected = index.batch_search(queries, k=k)
-        saved = (block_module.BLOCK_QUERIES, block_module.SCALAR_GROUP_CUTOFF)
-        block_module.BLOCK_QUERIES = block_queries
-        block_module.SCALAR_GROUP_CUTOFF = cutoff
-        try:
-            got = index.batch_search(queries, k=k)
-        finally:
-            block_module.BLOCK_QUERIES, block_module.SCALAR_GROUP_CUTOFF = saved
-        _assert_bit_identical_with_stats(got, expected)
-
-    @given(
-        data=problems(),
-        family=st.sampled_from(sorted(TREE_FAMILIES)),
         budget=budget_options,
     )
     def test_budgeted_batch_equals_sequential(self, data, family, budget):
@@ -210,31 +182,6 @@ class TestTreeProperties:
         sequential = [index.search(q, k=k, **budget) for q in queries]
         batch = index.batch_search(queries, k=k, **budget)
         _assert_bit_identical_with_stats(batch, sequential)
-
-    @given(
-        data=problems(),
-        family=st.sampled_from(sorted(TREE_FAMILIES)),
-        budget=budget_options,
-        block_queries=st.integers(min_value=1, max_value=3),
-        cutoff=st.sampled_from([0, 2, 10_000]),
-    )
-    def test_budgeted_kernel_blocking_invariance(
-        self, data, family, budget, block_queries, cutoff
-    ):
-        """Sub-blocking and the scalar-descent cutoff stay invisible under
-        budgets too — exhausted queries retire identically whether their
-        group is vectorized or finishing on the scalar descent."""
-        points, queries, k, leaf_size = data
-        index = TREE_FAMILIES[family](leaf_size).fit(points)
-        expected = index.batch_search(queries, k=k, **budget)
-        saved = (block_module.BLOCK_QUERIES, block_module.SCALAR_GROUP_CUTOFF)
-        block_module.BLOCK_QUERIES = block_queries
-        block_module.SCALAR_GROUP_CUTOFF = cutoff
-        try:
-            got = index.batch_search(queries, k=k, **budget)
-        finally:
-            block_module.BLOCK_QUERIES, block_module.SCALAR_GROUP_CUTOFF = saved
-        _assert_bit_identical_with_stats(got, expected)
 
     @given(data=problems(), family=st.sampled_from(sorted(TREE_FAMILIES)))
     def test_tree_equals_linear_scan(self, data, family):
@@ -310,8 +257,7 @@ class TestTreeProperties:
                     increment = 1
                 assert (stats.center_inner_products - 1) % increment == 0
                 assert stats.center_inner_products >= 1
-            # a node is visited at most once per (pop, group) event and
-            # every query's events are its solo DFS events
+            # the descent pops every node at most once
             assert stats.nodes_visited <= 2 * num_nodes
         for field in COUNTER_FIELDS:
             assert getattr(pooled, field) == sum(

@@ -27,7 +27,7 @@ QUERIES = RNG.normal(size=(9, 11))
 K = 5
 
 #: (family id, build kwargs, search overrides) — chosen to cover the tree
-#: block kernel, its one-row-sub-block mode (sequential scan), the budgeted
+#: block kernel, its sequential-scan mode, the budgeted
 #: kernel, the per-query path (linear scan), the hashing kernel, and both
 #: composites.
 CASES = [
