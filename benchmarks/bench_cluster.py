@@ -97,7 +97,6 @@ def _cluster_spec(num_shards: int, total: int, **overrides) -> ClusterSpec:
         strategy="contiguous",
         default_k=K,
         max_batch=MAX_BATCH,
-        max_wait_ms=2.0,
         max_queue_depth=max(2 * total, 1024),  # the backlog IS the experiment
         request_timeout_ms=600_000.0,          # ... so nothing 504s out of it
         **overrides,
@@ -139,7 +138,6 @@ def test_cluster_scaling(results_dir, tmp_path):
     index = build_index(SUB_SPEC).fit(points)
     baseline_config = ServeConfig(
         max_batch=MAX_BATCH,
-        max_wait_ms=2.0,
         max_queue_depth=max(2 * total, 1024),
         request_timeout_ms=600_000.0,
     )

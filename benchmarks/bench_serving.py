@@ -178,8 +178,8 @@ def test_serving_coalescing_speedup(results_dir):
         max_queue_depth=max(2 * total, 1024),   # the backlog IS the experiment
         request_timeout_ms=600_000.0,           # ... so nothing 504s out of it
     )
-    coalesced_config = ServeConfig(max_batch=MAX_BATCH, max_wait_ms=2.0, **shared)
-    per_query_config = ServeConfig(max_batch=1, max_wait_ms=0.0, **shared)
+    coalesced_config = ServeConfig(max_batch=MAX_BATCH, **shared)
+    per_query_config = ServeConfig(max_batch=1, **shared)
 
     with Searcher(index, SearchOptions(k=K)) as searcher:
         direct = [searcher.search(query, k=K) for query in queries]
@@ -242,7 +242,6 @@ def test_serving_coalescing_speedup(results_dir):
             connections=connections,
             overdrive=_overdrive(),
             max_batch=coalesced_config.max_batch,
-            max_wait_ms=coalesced_config.max_wait_ms,
         ),
         metrics={
             "qps_coalesced": round(coalesced["qps"], 1),

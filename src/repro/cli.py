@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="most milliseconds a query waits for flush companions (default: 2)",
+        help="accepted for compatibility; no effect (queries flush as soon "
+        "as the compute thread is free)",
     )
     serve_parser.add_argument(
         "--queue-depth",
@@ -551,8 +552,7 @@ def _cmd_serve(args) -> int:
 
     def announce(server) -> None:
         mode = (
-            f"coalescing (max_batch={config.max_batch}, "
-            f"max_wait_ms={config.max_wait_ms:g})"
+            f"coalescing (max_batch={config.max_batch})"
             if config.coalescing else "per-query (coalescing off)"
         )
         print(

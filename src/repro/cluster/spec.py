@@ -53,7 +53,10 @@ class ClusterSpec:
         ``k`` used for routed queries that do not carry their own.
     max_batch / max_wait_ms / max_queue_depth / request_timeout_ms:
         The router's coalescing and robustness knobs, with the same
-        semantics as :class:`~repro.serve.ServeConfig`.
+        semantics as :class:`~repro.serve.ServeConfig`.  The router
+        flushes by group commit, so ``max_wait_ms`` has no effect; it
+        is still accepted and validated because saved manifests carry
+        it.
     """
 
     num_shards: int

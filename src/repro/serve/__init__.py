@@ -1,19 +1,20 @@
 """Async serving front end: query coalescing over a warm Searcher session.
 
-The engine answers *blocks* of queries far faster than it answers the
-same queries one at a time (block kernels, cross-query GEMM, warm pools)
-— but live traffic arrives one query per request.  This package closes
-the gap with a stdlib-only asyncio HTTP server that owns a single
+Live traffic arrives one query per request, while the engine answers a
+block of queries in one ``batch_search`` call.  This package joins the
+two with a stdlib-only asyncio HTTP server that owns a single
 :class:`~repro.api.Searcher` session and **coalesces** concurrent
-single-query requests into blocks: a request joins a queue and is
-flushed with its contemporaries (``max_batch`` gathered, or
-``max_wait_ms`` after the oldest arrival), executing through the
-session's ordinary ``batch_search`` — so every coalesced answer is
-bit-identical to the per-query answer, by the engine's own determinism
-contract.  The event loop must never block on compute — searches run on
-the coalescer's executor — and ``repro check`` rule REP302 enforces this
-statically, alongside the public error contracts REP401-REP403
-(descriptive exceptions, no silent broad handlers).
+single-query requests by group commit: a request joins a queue, and
+whenever the compute thread is free the flusher cuts everything queued
+(at most ``max_batch``) into one flush.  An idle server answers a lone
+query at once; a busy one batches what queued behind its current flush.
+Flushes execute through the session's ordinary ``batch_search``, so
+every coalesced answer is bit-identical to the per-query answer, by the
+engine's own determinism contract.  The event loop must never block on
+compute — searches run on the coalescer's executor — and ``repro
+check`` rule REP302 enforces this statically, alongside the public
+error contracts REP401-REP403 (descriptive exceptions, no silent broad
+handlers).
 
 Entry points: :class:`ServeConfig` (the knobs), :class:`SearchServer` /
 :func:`run_server` (the server; also ``repro serve`` on the command

@@ -1,15 +1,16 @@
 """Query coalescing: concurrent single queries become kernel-sized blocks.
 
-The engine work of PRs 1–6 made *blocks* fast — the block traversal
-kernel, cross-query GEMM fast mode, and warm :class:`~repro.api.Searcher`
-pools all amortize per-call overheads across many queries.  Live serving
-traffic arrives one query at a time, which is exactly the shape that work
-cannot help.  The :class:`QueryCoalescer` closes the gap: arriving
-requests append to a queue, and a flusher task cuts the queue into blocks
-(when ``max_batch`` queries have gathered, or ``max_wait_ms`` after the
-oldest arrival, whichever is first) that execute through the session's
-ordinary ``batch_search`` — so a coalesced answer is **bit-identical** to
-the per-query answer by the engine's own determinism contract.
+Live serving traffic arrives one query at a time, while the engine's
+``batch_search`` answers a block of queries in one call (block kernel,
+warm :class:`~repro.api.Searcher` pools).  The :class:`QueryCoalescer`
+joins the two with **group commit**: arriving requests append to a
+queue, and a flusher task cuts whatever is queued (at most
+``max_batch``) the moment the backend is free.  An idle backend answers
+a lone query at once; a busy one batches whatever queued behind its
+current flush.  No request ever waits for companions that may not come.
+Each flush executes through the session's ordinary ``batch_search``, so
+a coalesced answer is **bit-identical** to the per-query answer by the
+engine's own determinism contract.
 
 Requests carry their own ``k``/budget/``exact`` options.  A flush groups
 its requests by option signature and runs one ``batch_search`` per group;
@@ -72,8 +73,7 @@ def options_signature(
 class PendingRequest:
     """One enqueued query awaiting its coalesced flush."""
 
-    __slots__ = ("query", "k", "overrides", "signature", "future", "enqueued",
-                 "batch_size")
+    __slots__ = ("query", "k", "overrides", "signature", "future", "batch_size")
 
     def __init__(
         self,
@@ -82,14 +82,12 @@ class PendingRequest:
         k: Optional[int],
         overrides: Dict[str, Any],
         future: "asyncio.Future[Any]",
-        enqueued: float,
     ) -> None:
         self.query = query
         self.k = k
         self.overrides = overrides
         self.signature = options_signature(k, overrides, int(query.shape[0]))
         self.future = future
-        self.enqueued = enqueued
         #: Size of the flush this request rode in (stamped at execution;
         #: surfaced in the response so clients/tests can see coalescing).
         self.batch_size = 0
@@ -172,7 +170,12 @@ class SearcherBackend:
 
 
 class QueryCoalescer:
-    """The coalescing queue plus its flusher task.
+    """The coalescing queue plus its group-commit flusher task.
+
+    The flusher never waits for companions: whenever the backend is free
+    it cuts the oldest queued requests, at most ``max_batch``, and
+    executes them.  A flush therefore holds what queued while the
+    previous one ran; any overflow rides the next flush.
 
     Parameters
     ----------
@@ -183,8 +186,6 @@ class QueryCoalescer:
         session, which is wrapped in a :class:`SearcherBackend`.
     max_batch:
         Most queries per flush; 1 disables coalescing.
-    max_wait_ms:
-        Most milliseconds the oldest queued query waits for companions.
     max_queue_depth:
         Most queries queued awaiting flush; :meth:`submit` refuses beyond
         it (the server answers 429).
@@ -195,14 +196,12 @@ class QueryCoalescer:
         backend: Any,
         *,
         max_batch: int,
-        max_wait_ms: float,
         max_queue_depth: int,
     ) -> None:
         if not hasattr(backend, "run_group"):
             backend = SearcherBackend(backend)
         self.backend = backend
         self._max_batch = int(max_batch)
-        self._max_wait = float(max_wait_ms) / 1000.0
         self._max_queue_depth = int(max_queue_depth)
         self._pending: List[PendingRequest] = []
         self._wakeup: Optional[asyncio.Event] = None
@@ -280,7 +279,6 @@ class QueryCoalescer:
     # ---------------------------------------------------------------- flusher
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         wakeup = self._wakeup
         if wakeup is None:
             raise RuntimeError("flusher running before start() created its event")
@@ -291,23 +289,8 @@ class QueryCoalescer:
                 wakeup.clear()
                 await wakeup.wait()
                 continue
-            # Coalescing window: the oldest queued request anchors the
-            # deadline, so no request waits longer than max_wait_ms for
-            # companions regardless of traffic shape.  Draining flushes
-            # immediately — there are no companions left to wait for.
-            if self._max_wait > 0 and not self._draining:
-                deadline = self._pending[0].enqueued + self._max_wait
-                while len(self._pending) < self._max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0 or self._draining:
-                        break
-                    wakeup.clear()
-                    try:
-                        await asyncio.wait_for(
-                            wakeup.wait(), timeout=remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
+            # Group commit: the backend is free, so cut whatever queued
+            # while the previous flush ran and execute it now.
             batch = self._cut_batch()
             if not batch:
                 continue

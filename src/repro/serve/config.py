@@ -1,7 +1,7 @@
 """Validated configuration of the serving front end.
 
-One frozen dataclass holds every serving knob — coalescing window, queue
-depth, per-request deadline, bind address — validated up front in one
+One frozen dataclass holds every serving knob — flush size, queue depth,
+per-request deadline, bind address — validated up front in one
 place (the same philosophy as :class:`repro.api.SearchOptions`): a typo'd
 or out-of-range knob fails at construction with a descriptive
 :class:`ValueError`, never as a hung server or a silent behavior change.
@@ -28,11 +28,11 @@ class ServeConfig:
         coalescing: every request executes as its own single-query batch
         (the per-query serving baseline the benchmark compares against).
     max_wait_ms:
-        How long an arrived query may wait for companions before its
-        flush goes out anyway.  The window is anchored at the *oldest*
-        queued request, so the added latency of coalescing is bounded by
-        this number no matter the traffic shape.  ``0`` flushes whatever
-        is queued as soon as the compute thread is free.
+        Accepted and validated (``>= 0``) but has **no effect**: the
+        coalescer flushes by group commit, cutting whatever is queued the
+        moment the compute thread is free, so no query waits for
+        companions.  Kept because saved cluster manifests and existing
+        command lines carry it.
     max_queue_depth:
         Most requests that may sit in the coalescing queue awaiting
         execution.  Arrivals beyond it are rejected immediately with

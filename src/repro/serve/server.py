@@ -77,7 +77,6 @@ class SearchServer:
         self.coalescer = QueryCoalescer(
             backend,
             max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
             max_queue_depth=self.config.max_queue_depth,
         )
         self._server: Optional[asyncio.AbstractServer] = None
@@ -232,13 +231,11 @@ class SearchServer:
                 "accepts new queries"
             )
         query, k, overrides = _parse_search_payload(json_body(body))
-        loop = asyncio.get_running_loop()
         request = PendingRequest(
             query,
             k=k,
             overrides=overrides,
-            future=loop.create_future(),
-            enqueued=loop.time(),
+            future=asyncio.get_running_loop().create_future(),
         )
         if not self.coalescer.submit(request):
             self.rejected += 1

@@ -15,6 +15,7 @@ CLI's refusal paths.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -307,6 +308,25 @@ def test_router_health_and_stats(tmp_path):
         stats = cluster.stats()
     assert stats["flushes"] >= 1
     assert stats["batches_by_size"].get("1") >= 1
+
+
+def test_router_answers_a_lone_read_at_once(tmp_path):
+    """The router's coalescer is group commit too: ``max_wait_ms`` is
+    accepted (saved manifests carry it) but no read waits on it."""
+    points = make_points(40)
+    query = make_queries(1)[0]
+    manifest = build_cluster_dir(
+        points, cluster_spec(2, max_wait_ms=5000.0), tmp_path / "c"
+    )
+    with ClusterManager(manifest, mode="thread") as cluster:
+        tic = time.perf_counter()
+        answer = cluster.search(query, k=3)
+        elapsed = time.perf_counter() - tic
+    assert elapsed < 1.0
+    assert answer["batch_size"] == 1
+    assert_matches_reference(
+        [answer], partitioned_reference(points, 2), query[None, :], k=3
+    )
 
 
 # -------------------------------------------------------------- routed updates

@@ -6,13 +6,17 @@ requests — across coalescing configurations and mixed per-request
 a direct per-query ``Searcher.search`` returns for the same query and
 options.  The robustness contracts (504 on deadline, 429 on a full
 queue, graceful drain on shutdown) are pinned deterministically with a
-gate-blocked stub index, not with sleeps and luck.
+gate-blocked stub index, not with sleeps and luck.  So is group commit:
+which requests share a flush is fixed by holding the compute thread
+while the queue fills (:func:`_queued_behind_held_flush`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -75,6 +79,70 @@ def _run(coro):
     return asyncio.run(coro)
 
 
+def _serve(searcher, config, scenario):
+    """Run ``await scenario(server)`` against a started in-loop server."""
+
+    async def main():
+        server = SearchServer(searcher, config)
+        await server.start()
+        try:
+            return await scenario(server)
+        finally:
+            await server.stop()
+
+    return _run(main())
+
+
+def _search(port, query, **options):
+    """A zero-argument coroutine function: one ``/search``, own connection."""
+
+    async def call():
+        async with ServeClient("127.0.0.1", port) as client:
+            return await client.search(query, **options)
+
+    return call
+
+
+async def _until(predicate, what):
+    for _ in range(2000):
+        if predicate():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"timed out waiting until {what}")
+
+
+async def _queued_behind_held_flush(server, first, rest):
+    """Answer ``first()``, then every ``rest`` call queued behind its flush.
+
+    The compute thread is held (``run_serialized`` on an event) until
+    ``first``'s request has been cut into a flush of its own and every
+    ``rest`` request sits in the queue behind it.  Releasing the thread
+    lets group commit cut that queue at once, ``max_batch`` at a time, so
+    which requests share a flush is fixed by the test, not by timing.
+    Returns ``(first_answer, rest_answers)``.
+    """
+    gate = threading.Event()
+    hold = asyncio.ensure_future(
+        server.backend.run_serialized(lambda: gate.wait(timeout=30))
+    )
+    await asyncio.sleep(0)  # the hold now heads the compute thread's queue
+    coalescer = server.coalescer
+    try:
+        head = asyncio.ensure_future(first())
+        await _until(
+            lambda: coalescer.flushes == 1 and coalescer.depth == 0,
+            "the first request's flush is waiting on the compute thread",
+        )
+        tail = [asyncio.ensure_future(call()) for call in rest]
+        await _until(
+            lambda: coalescer.depth == len(rest), "every other request is queued"
+        )
+    finally:
+        gate.set()
+    await hold
+    return await head, list(await asyncio.gather(*tail))
+
+
 # ------------------------------------------------------------------- parity
 
 
@@ -101,7 +169,8 @@ def test_concurrent_parity_across_configs(fitted_index, hyperplanes, max_batch, 
 
 
 def test_mixed_options_parity(fitted_index, hyperplanes):
-    """Mixed k/budget/exact requests group correctly and stay bit-identical."""
+    """Mixed k/budget/exact requests share flushes, group correctly and
+    stay bit-identical."""
     variants = [
         {},
         {"k": 1},
@@ -118,37 +187,45 @@ def test_mixed_options_parity(fitted_index, hyperplanes):
         direct = [
             searcher.search(hyperplanes[i], **options) for i, options in specs
         ]
-        config = ServeConfig(max_batch=16, max_wait_ms=8.0)
-        with BackgroundServer(searcher, config) as server:
-            async def drive():
-                async def one(i, options):
-                    options = dict(options)
-                    k = options.pop("k", None)
-                    async with ServeClient("127.0.0.1", server.port) as client:
-                        return await client.search(hyperplanes[i], k=k, **options)
-                return await asyncio.gather(
-                    *[one(i, options) for i, options in specs]
-                )
 
-            answers = _run(drive())
+        async def scenario(server):
+            calls = []
+            for i, options in specs:
+                options = dict(options)
+                k = options.pop("k", None)
+                calls.append(_search(server.port, hyperplanes[i], k=k, **options))
+            first, rest = await _queued_behind_held_flush(
+                server, calls[0], calls[1:]
+            )
+            return [first, *rest], server.coalescer
+
+        answers, coalescer = _serve(
+            searcher, ServeConfig(max_batch=16), scenario
+        )
+    # 47 queued requests cut 16 at a time: three flushes after the first.
+    # No option variant has more than 7 requests, so each of those
+    # flushes runs at least 3 option groups.
+    assert coalescer.flushes == 4
+    assert coalescer.batches_executed >= 1 + 3 * 3
     for answer, expected in zip(answers, direct):
         assert answer["indices"] == [int(i) for i in expected.indices]
         assert answer["distances"] == [float(d) for d in expected.distances]
 
 
 def test_coalescing_actually_batches(fitted_index, hyperplanes):
-    """Under concurrent load some flush carries more than one query."""
+    """Requests queued behind a busy flush ride the next flush together."""
     with Searcher(fitted_index, SearchOptions(k=5)) as searcher:
-        config = ServeConfig(max_batch=32, max_wait_ms=20.0)
-        with BackgroundServer(searcher, config) as server:
-            async def drive():
-                async def one(q):
-                    async with ServeClient("127.0.0.1", server.port) as client:
-                        return await client.search(q)
-                return await asyncio.gather(*[one(q) for q in hyperplanes])
+        async def scenario(server):
+            calls = [_search(server.port, q) for q in hyperplanes]
+            first, rest = await _queued_behind_held_flush(
+                server, calls[0], calls[1:]
+            )
+            async with ServeClient("127.0.0.1", server.port) as client:
+                return [first, *rest], await client.get("/stats")
 
-            answers = _run(drive())
-            stats = server.stats
+        answers, stats = _serve(
+            searcher, ServeConfig(max_batch=32), scenario
+        )
     assert max(answer["batch_size"] for answer in answers) > 1
     assert stats["largest_batch"] > 1
     assert stats["requests_executed"] == len(hyperplanes)
@@ -177,33 +254,85 @@ def test_fast_mode_requests_execute_per_query(fitted_index, hyperplanes):
 
 
 def test_wrong_dimension_query_fails_alone(fitted_index, hyperplanes):
-    """A mis-dimensioned query gets its own 400 without hurting companions."""
+    """A mis-dimensioned query sharing a flush gets its own 400 without
+    hurting its companions."""
     with Searcher(fitted_index, SearchOptions(k=5)) as searcher:
         direct = [searcher.search(q) for q in hyperplanes[:8]]
-        config = ServeConfig(max_batch=16, max_wait_ms=20.0)
-        with BackgroundServer(searcher, config) as server:
-            async def drive():
-                async def good(q):
-                    async with ServeClient("127.0.0.1", server.port) as client:
-                        return await client.search(q)
 
-                async def bad():
-                    async with ServeClient("127.0.0.1", server.port) as client:
-                        with pytest.raises(ServeError) as err:
-                            await client.search([1.0, 2.0, 3.0])
-                        return err.value
+        async def scenario(server):
+            async def bad():
+                async with ServeClient("127.0.0.1", server.port) as client:
+                    with pytest.raises(ServeError) as err:
+                        await client.search([1.0, 2.0, 3.0])
+                    return err.value
 
-                results = await asyncio.gather(
-                    *[good(q) for q in hyperplanes[:8]], bad()
-                )
-                return results[:-1], results[-1]
+            good = [_search(server.port, q) for q in hyperplanes[:8]]
+            first, rest = await _queued_behind_held_flush(
+                server, good[0], [*good[1:], bad]
+            )
+            return [first, *rest[:-1]], rest[-1], server.coalescer.flushes
 
-            answers, error = _run(drive())
+        answers, error, flushes = _serve(
+            searcher, ServeConfig(max_batch=16), scenario
+        )
+    assert flushes == 2  # the bad query rode one flush with seven good ones
     assert error.status == 400
     assert "dimension" in error.message
     for answer, expected in zip(answers, direct):
         assert answer["indices"] == [int(i) for i in expected.indices]
         assert answer["distances"] == [float(d) for d in expected.distances]
+
+
+# ------------------------------------------------------------- group commit
+
+
+def test_idle_server_answers_a_lone_query_at_once(fitted_index, hyperplanes):
+    """Group commit: no request waits for companions, whatever
+    ``max_wait_ms`` says (the knob is accepted but has no effect)."""
+    with Searcher(fitted_index, SearchOptions(k=5)) as searcher:
+        expected = searcher.search(hyperplanes[0])
+        with BackgroundServer(searcher, ServeConfig(max_wait_ms=5000.0)) as server:
+            async def drive():
+                async with ServeClient("127.0.0.1", server.port) as client:
+                    tic = time.perf_counter()
+                    answer = await client.search(hyperplanes[0])
+                    return answer, time.perf_counter() - tic
+
+            answer, elapsed = _run(drive())
+    assert elapsed < 1.0
+    assert answer["batch_size"] == 1
+    assert answer["indices"] == [int(i) for i in expected.indices]
+
+
+@pytest.mark.parametrize(
+    "max_batch,queued,flush_sizes", [(64, 12, [12]), (4, 10, [4, 4, 2])]
+)
+def test_queue_behind_busy_flush_is_cut_in_max_batch_flushes(
+    fitted_index, hyperplanes, max_batch, queued, flush_sizes
+):
+    """Everything queued while the backend was busy rides the next
+    flushes, ``max_batch`` at a time."""
+    with Searcher(fitted_index, SearchOptions(k=5)) as searcher:
+        async def scenario(server):
+            first, rest = await _queued_behind_held_flush(
+                server,
+                _search(server.port, hyperplanes[0]),
+                [_search(server.port, q) for q in hyperplanes[1:1 + queued]],
+            )
+            async with ServeClient("127.0.0.1", server.port) as client:
+                return first, rest, await client.get("/stats")
+
+        first, rest, stats = _serve(
+            searcher, ServeConfig(max_batch=max_batch), scenario
+        )
+    assert first["batch_size"] == 1
+    assert sorted(answer["batch_size"] for answer in rest) == sorted(
+        size for size in flush_sizes for _ in range(size)
+    )
+    assert stats["flushes"] == 1 + len(flush_sizes)
+    assert stats["batches_by_size"] == Counter(
+        str(size) for size in [1, *flush_sizes]
+    )
 
 
 # ----------------------------------------------------- deadlines and pressure
@@ -406,16 +535,13 @@ def test_healthz_and_stats_shape(fitted_index, hyperplanes):
 def test_stats_batch_histogram_accounts_for_every_query(fitted_index, hyperplanes):
     """``flushes``/``batches_by_size`` reconcile exactly with the load served."""
     with Searcher(fitted_index, SearchOptions(k=5)) as searcher:
-        config = ServeConfig(max_batch=32, max_wait_ms=20.0)
-        with BackgroundServer(searcher, config) as server:
-            async def drive():
-                async def one(q):
-                    async with ServeClient("127.0.0.1", server.port) as client:
-                        return await client.search(q)
-                return await asyncio.gather(*[one(q) for q in hyperplanes])
+        async def scenario(server):
+            calls = [_search(server.port, q) for q in hyperplanes]
+            await _queued_behind_held_flush(server, calls[0], calls[1:])
+            async with ServeClient("127.0.0.1", server.port) as client:
+                return await client.get("/stats")
 
-            _run(drive())
-            stats = server.stats
+        stats = _serve(searcher, ServeConfig(max_batch=32), scenario)
     histogram = {int(size): count for size, count in stats["batches_by_size"].items()}
     assert stats["flushes"] == sum(histogram.values()) == stats["batches_executed"]
     assert sum(size * count for size, count in histogram.items()) == len(hyperplanes)
