@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.ball_tree import BallTree
 from repro.core.policies import BranchPreference
-from repro.core.tree_base import build_tree
+from repro.core.tree_base import NO_CHILD, build_tree
 from repro.engine.traversal import TraversalEngine
 
 
@@ -135,18 +135,25 @@ class BCTree(BallTree):
             rng=self.random_state,
             centers_from_children=True,
         )
+        perm = self.tree.perm
+        self._build_leaf_structures(lambda start, end: points[perm[start:end]])
+
+    def _build_leaf_structures(self, read_leaf, write_leaf=None) -> None:
+        """Algorithm 4 lines 7-11, shared by ``fit`` and ``fit_chunked``.
+
+        ``read_leaf(start, end)`` returns a leaf's rows in ``perm`` order.
+        Each leaf is re-sorted by descending ``r_x``, ``perm`` follows, and
+        ``write_leaf(start, rows)`` (when given) receives the sorted rows.
+        """
         tree = self.tree
-        n = points.shape[0]
+        n = tree.perm.shape[0]
         self.point_radius = np.zeros(n, dtype=np.float64)
         self.point_cos = np.zeros(n, dtype=np.float64)
         self.point_sin = np.zeros(n, dtype=np.float64)
 
-        for node in range(tree.num_nodes):
-            if not tree.is_leaf(node):
-                continue
-            start, end = tree.start[node], tree.end[node]
-            indices = tree.perm[start:end]
-            leaf_points = points[indices]
+        for node in np.flatnonzero(tree.left_child == NO_CHILD):
+            start, end = int(tree.start[node]), int(tree.end[node])
+            leaf_points = read_leaf(start, end)
             center = tree.centers[node]
             center_norm = float(tree.center_norms[node])
 
@@ -154,10 +161,10 @@ class BCTree(BallTree):
             # Sort leaf points by descending r_x (Algorithm 4 line 9) so the
             # point-level ball bound prunes the tail of the leaf in a batch.
             order = np.argsort(-radii, kind="stable")
-            indices = indices[order]
             leaf_points = leaf_points[order]
-            radii = radii[order]
-            tree.perm[start:end] = indices
+            tree.perm[start:end] = tree.perm[start:end][order]
+            if write_leaf is not None:
+                write_leaf(start, leaf_points)
 
             norms = np.linalg.norm(leaf_points, axis=1)
             if center_norm > 0.0:
@@ -166,7 +173,7 @@ class BCTree(BallTree):
                 x_cos = np.zeros_like(norms)
             x_sin = np.sqrt(np.maximum(norms * norms - x_cos * x_cos, 0.0))
 
-            self.point_radius[start:end] = radii
+            self.point_radius[start:end] = radii[order]
             self.point_cos[start:end] = x_cos
             self.point_sin[start:end] = x_sin
 

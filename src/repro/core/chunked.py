@@ -21,7 +21,8 @@ backend) served:
    :class:`~repro.storage.base.RowWriter` as the subtree finalizes.
 4. BC-Tree's per-point leaf structures (descending-``r_x`` re-sort, ball
    and cone components) are computed in a bounded post-pass that reads
-   each leaf block back from the spilled store.
+   each leaf block back from the spilled store — the same per-leaf pass
+   ``BCTree.fit`` runs on its resident matrix.
 
 The resulting index serves through the exact same engine paths as a
 resident ``fit`` — with a budget of at least ``n`` rows the build reduces
@@ -90,9 +91,11 @@ def chunked_fit(index, source, *, memory_budget_mb: float = 256.0):
     if dim < 2:
         raise ValueError(f"points must have at least one coordinate, got d={dim}")
 
-    # Budget split: an in-budget subtree holds its gathered rows, the
-    # builder's per-node slice copies, and the leaf-ordered spill block
-    # (~3 copies at peak); streaming passes hold one chunk.
+    # Budget split: an in-budget subtree holds three copies of its rows at
+    # peak: the gathered rows plus build_tree's working copy and scratch
+    # matrix while it builds (a KD subtree: the rows plus one per-node
+    # gather), then the gathered rows plus the leaf-ordered spill block.
+    # Streaming passes hold one chunk.
     subtree_rows = max(2, rows_in_budget(budget_bytes // 4, dim))
     pass_rows = max(1, rows_in_budget(budget_bytes // 8, dim))
 
@@ -238,16 +241,8 @@ def _build_chunked(index, family, src, n, d, subtree_rows, pass_rows) -> None:
         stack.append(left)
 
     if ball_like:
-        centers_arr = np.asarray(centers, dtype=np.float64)
-        index.tree = TreeArrays(
-            centers=centers_arr,
-            radii=np.asarray(radii, dtype=np.float64),
-            start=np.asarray(starts, dtype=np.int64),
-            end=np.asarray(ends, dtype=np.int64),
-            left_child=np.asarray(lefts, dtype=np.int64),
-            right_child=np.asarray(rights, dtype=np.int64),
-            perm=perm,
-            center_norms=np.linalg.norm(centers_arr, axis=1),
+        index.tree = TreeArrays.from_node_lists(
+            centers, radii, starts, ends, lefts, rights, perm
         )
     else:
         from repro.core.kd_tree import _KDArrays
@@ -263,7 +258,10 @@ def _build_chunked(index, family, src, n, d, subtree_rows, pass_rows) -> None:
         )
 
     if family == "bc":
-        _bc_leaf_pass(index, writer)
+        index._build_leaf_structures(
+            lambda lo, hi: np.asarray(writer.read(lo, hi), dtype=np.float64),
+            writer.write,
+        )
 
     writer.close()
     index._store = store
@@ -447,51 +445,6 @@ def _streamed_kd_split(load, perm, start, end, pass_rows, axis) -> int:
     order = np.argsort(values, kind="stable")
     perm[start:end] = perm[start:end][order]
     return _positional_mid(perm, start, end)
-
-
-# -------------------------------------------------------------- BC post-pass
-
-
-def _bc_leaf_pass(index, writer) -> None:
-    """Compute BC-Tree leaf structures from the spilled leaf blocks.
-
-    Reads each leaf's rows back through the writer (bounded by the leaf
-    size), re-sorts them by descending ``r_x``, rewrites the block and the
-    permutation, and fills ``point_radius`` / ``point_cos`` / ``point_sin``
-    — the same structures ``BCTree._build`` computes, sourced from the
-    store instead of a resident matrix.
-    """
-    tree = index.tree
-    n = tree.perm.shape[0]
-    index.point_radius = np.zeros(n, dtype=np.float64)
-    index.point_cos = np.zeros(n, dtype=np.float64)
-    index.point_sin = np.zeros(n, dtype=np.float64)
-
-    for node in range(tree.num_nodes):
-        if not tree.is_leaf(node):
-            continue
-        start, end = int(tree.start[node]), int(tree.end[node])
-        leaf_points = np.asarray(writer.read(start, end), dtype=np.float64)
-        center = tree.centers[node]
-        center_norm = float(tree.center_norms[node])
-
-        leaf_radii = np.linalg.norm(leaf_points - center, axis=1)
-        order = np.argsort(-leaf_radii, kind="stable")
-        leaf_points = leaf_points[order]
-        leaf_radii = leaf_radii[order]
-        tree.perm[start:end] = tree.perm[start:end][order]
-        writer.write(start, leaf_points)
-
-        norms = np.linalg.norm(leaf_points, axis=1)
-        if center_norm > 0.0:
-            x_cos = (leaf_points @ center) / center_norm
-        else:
-            x_cos = np.zeros_like(norms)
-        x_sin = np.sqrt(np.maximum(norms * norms - x_cos * x_cos, 0.0))
-
-        index.point_radius[start:end] = leaf_radii
-        index.point_cos[start:end] = x_cos
-        index.point_sin[start:end] = x_sin
 
 
 # ---------------------------------------------------------------- validation

@@ -3,9 +3,11 @@
 The paper uses the classic *seed-grow* rule (Algorithm 2): pick a random
 point ``v``, take the point ``x_l`` furthest from ``v`` and the point
 ``x_r`` furthest from ``x_l`` as pivots, then assign every point to its
-closer pivot.  We also provide a deterministic PCA-style fallback used when
-the seed-grow rule degenerates (all points identical), and expose the split
-as a pure function on index arrays so trees can share it.
+closer pivot.  The assignment reuses the pivot search's distances to
+``x_l``, so a split makes three distance passes (:func:`row_distances`).
+A positional fallback splits the node when the rule degenerates (all
+points identical), and the split is a pure function on index arrays so
+trees can share it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,35 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.rng import ensure_rng
+
+def row_distances(
+    rows: np.ndarray, point: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """``np.linalg.norm(rows - point, axis=1)``, bit for bit, in ``scratch``.
+
+    The same row-wise operations in the same order (difference, square,
+    ``add.reduce`` along each row, ``sqrt``), with the difference and its
+    square written into ``scratch`` (C-contiguous, ``rows``' shape and
+    dtype, overlapping neither input) instead of two fresh temporaries.
+    """
+    np.subtract(rows, point, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    distances = np.add.reduce(scratch, axis=1)
+    return np.sqrt(distances, out=distances)
+
+
+def _seed_grow_pivots(
+    points: np.ndarray, rng: np.random.Generator, scratch: np.ndarray
+) -> Tuple[int, int, np.ndarray]:
+    """Seed-grow pivots plus every row's distance to the left pivot."""
+    m = points.shape[0]
+    if m < 2:
+        raise ValueError("need at least two points to pick split pivots")
+    seed = int(rng.integers(0, m))
+    left = int(np.argmax(row_distances(points, points[seed], scratch)))
+    dist_to_left = row_distances(points, points[left], scratch)
+    right = int(np.argmax(dist_to_left))
+    return left, right, dist_to_left
 
 
 def seed_grow_pivots(
@@ -34,19 +64,11 @@ def seed_grow_pivots(
     (int, int)
         Row indices (local to ``points``) of the left and right pivots.
     """
-    m = points.shape[0]
-    if m < 2:
-        raise ValueError("need at least two points to pick split pivots")
-    seed = int(rng.integers(0, m))
-    dist_to_seed = np.linalg.norm(points - points[seed], axis=1)
-    left = int(np.argmax(dist_to_seed))
-    dist_to_left = np.linalg.norm(points - points[left], axis=1)
-    right = int(np.argmax(dist_to_left))
-    return left, right
+    return _seed_grow_pivots(points, rng, np.empty_like(points))[:2]
 
 
 def seed_grow_split(
-    points: np.ndarray, rng: np.random.Generator
+    points: np.ndarray, rng: np.random.Generator, scratch=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Partition ``points`` into two halves around seed-grow pivots.
 
@@ -55,6 +77,9 @@ def seed_grow_split(
     identical so both pivots coincide — the node is split by position into
     two near-equal halves so construction always terminates.
 
+    ``scratch`` is the distance passes' work matrix (see
+    :func:`row_distances`); the tree builder passes one reused at every node.
+
     Returns
     -------
     (numpy.ndarray, numpy.ndarray)
@@ -62,15 +87,16 @@ def seed_grow_split(
         non-empty whenever ``points`` has at least two rows.
     """
     m = points.shape[0]
-    left_pivot, right_pivot = seed_grow_pivots(points, rng)
+    if scratch is None:
+        scratch = np.empty_like(points)
+    left_pivot, right_pivot, dist_left = _seed_grow_pivots(points, rng, scratch)
     if left_pivot == right_pivot or np.allclose(
         points[left_pivot], points[right_pivot]
     ):
         half = m // 2
         return np.arange(half), np.arange(half, m)
 
-    dist_left = np.linalg.norm(points - points[left_pivot], axis=1)
-    dist_right = np.linalg.norm(points - points[right_pivot], axis=1)
+    dist_right = row_distances(points, points[right_pivot], scratch)
     to_left = dist_left <= dist_right
     left_rows = np.flatnonzero(to_left)
     right_rows = np.flatnonzero(~to_left)
@@ -80,8 +106,3 @@ def seed_grow_split(
         half = m // 2
         return np.arange(half), np.arange(half, m)
     return left_rows, right_rows
-
-
-def make_split_rng(seed) -> np.random.Generator:
-    """Helper for constructors: coerce a seed into a generator."""
-    return ensure_rng(seed)

@@ -14,7 +14,10 @@ neighbor trees):
   ``left_child`` / ``right_child`` (``-1`` marks a leaf).
 
 Construction is iterative (explicit stack) so deep, unbalanced trees cannot
-hit Python's recursion limit.
+hit Python's recursion limit.  It reads every node's rows as a view of one
+working copy kept in ``perm`` order and computes distances in one reused
+scratch matrix, with the same bytes as per-node gathers and
+``np.linalg.norm`` passes would give (see :func:`build_tree`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.splits import seed_grow_split
+from repro.core.splits import row_distances, seed_grow_split
 from repro.utils.rng import ensure_rng
 
 NO_CHILD = -1
@@ -74,6 +77,24 @@ class TreeArrays:
                 depths[right] = depths[node] + 1
                 max_depth = max(max_depth, depths[node] + 1)
         return int(max_depth)
+
+    @classmethod
+    def from_node_lists(cls, centers, radii, starts, ends, lefts, rights, perm):
+        """Assemble the flat tree from a builder's per-node lists."""
+        centers_arr = np.asarray(centers, dtype=np.float64)
+        return cls(
+            centers=centers_arr,
+            radii=np.asarray(radii, dtype=np.float64),
+            start=np.asarray(starts, dtype=np.int64),
+            end=np.asarray(ends, dtype=np.int64),
+            left_child=np.asarray(lefts, dtype=np.int64),
+            right_child=np.asarray(rights, dtype=np.int64),
+            perm=perm,
+            # Search-time leaf kernels need ||center|| per node (the cone
+            # bound's query decomposition); computing the norms once here
+            # removes a np.linalg.norm call from every leaf visit.
+            center_norms=np.linalg.norm(centers_arr, axis=1),
+        )
 
     def payload_arrays(self):
         """Arrays counted towards the index size."""
@@ -162,7 +183,7 @@ def build_tree(
     Parameters
     ----------
     points:
-        Augmented data matrix of shape ``(n, d)``.
+        Augmented data matrix of shape ``(n, d)``; read, never written.
     leaf_size:
         Maximum number of points per leaf (``N0`` in the paper).
     rng:
@@ -176,20 +197,39 @@ def build_tree(
         Node-splitting rule ``(node_points, rng) -> (left_rows, right_rows)``.
         Defaults to the paper's seed-grow rule (Algorithm 2); the RP-Tree
         baseline passes a random-projection split instead.  Both halves must
-        be non-empty.
+        be non-empty.  ``node_points`` is a view into the builder's
+        working copy, which the rule must not write.
 
     Returns
     -------
     TreeArrays
         The flat tree.  Leaf points occupy contiguous ranges of ``perm`` in
         the order produced by the split (BC-Tree re-sorts them afterwards).
+
+    Notes
+    -----
+    The build holds two ``(n, d)`` float64 matrices: a working copy whose
+    rows every split reorders in place with ``perm``, so node ``[start,
+    end)`` reads the view ``work[start:end]``, and a scratch matrix for the
+    reorders and the distance passes (:func:`repro.core.splits.row_distances`).
+    A view has the shape and strides of the gather ``points[perm[start:end]]``
+    and each pass makes the row-wise reduction of ``np.linalg.norm(rows - p,
+    axis=1)`` in the same order, so the tree's bytes equal those of that
+    formulation (``tests/reference_builder.py``, the tests' reference).
     """
     rng = ensure_rng(rng)
-    if split_fn is None:
-        split_fn = seed_grow_split
     n, d = points.shape
     if leaf_size < 1:
         raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
+
+    work = np.array(points, dtype=np.float64, order="C")
+    scratch = np.empty_like(work)
+    if split_fn is None:
+        def split_fn(rows, rng):
+            return seed_grow_split(rows, rng, scratch[: rows.shape[0]])
+
+    def radius(rows: np.ndarray, center: np.ndarray) -> float:
+        return float(np.max(row_distances(rows, center, scratch[: rows.shape[0]])))
 
     perm = np.arange(n, dtype=np.int64)
     centers: List[np.ndarray] = []
@@ -217,6 +257,7 @@ def build_tree(
         node_id, phase = stack.pop()
         start, end = starts[node_id], ends[node_id]
         size = end - start
+        rows = work[start:end]
         if phase == 1:
             left_id, right_id = lefts[node_id], rights[node_id]
             left_size = ends[left_id] - starts[left_id]
@@ -224,32 +265,20 @@ def build_tree(
             centers[node_id] = (
                 centers[left_id] * left_size + centers[right_id] * right_size
             ) / size
-            node_points = points[perm[start:end]]
-            radii[node_id] = float(
-                np.max(np.linalg.norm(node_points - centers[node_id], axis=1))
-            )
+            radii[node_id] = radius(rows, centers[node_id])
             continue
 
-        node_points = points[perm[start:end]]
-        if size <= leaf_size:
-            center = node_points.mean(axis=0)
-            centers[node_id] = center
-            radii[node_id] = float(
-                np.max(np.linalg.norm(node_points - center, axis=1))
-            )
-            continue
+        if size <= leaf_size or not centers_from_children:
+            centers[node_id] = rows.mean(axis=0)
+            radii[node_id] = radius(rows, centers[node_id])
+            if size <= leaf_size:
+                continue
 
-        if not centers_from_children:
-            center = node_points.mean(axis=0)
-            centers[node_id] = center
-            radii[node_id] = float(
-                np.max(np.linalg.norm(node_points - center, axis=1))
-            )
-
-        left_rows, right_rows = split_fn(node_points, rng)
-        local = perm[start:end]
-        reordered = np.concatenate([local[left_rows], local[right_rows]])
-        perm[start:end] = reordered
+        left_rows, right_rows = split_fn(rows, rng)
+        order = np.concatenate([left_rows, right_rows])
+        perm[start:end] = perm[start:end][order]
+        # mode="clip": the default "raise" buffers ``out`` in a third copy.
+        rows[...] = np.take(rows, order, axis=0, out=scratch[:size], mode="clip")
         mid = start + left_rows.size
 
         left_id = allocate_node(start, mid)
@@ -263,17 +292,6 @@ def build_tree(
         stack.append((right_id, 0))
         stack.append((left_id, 0))
 
-    centers_arr = np.asarray(centers, dtype=np.float64)
-    return TreeArrays(
-        centers=centers_arr,
-        radii=np.asarray(radii, dtype=np.float64),
-        start=np.asarray(starts, dtype=np.int64),
-        end=np.asarray(ends, dtype=np.int64),
-        left_child=np.asarray(lefts, dtype=np.int64),
-        right_child=np.asarray(rights, dtype=np.int64),
-        perm=perm,
-        # Search-time leaf kernels need ||center|| per node (the cone bound's
-        # query decomposition); computing the norms once here removes a
-        # np.linalg.norm call from every leaf visit.
-        center_norms=np.linalg.norm(centers_arr, axis=1),
+    return TreeArrays.from_node_lists(
+        centers, radii, starts, ends, lefts, rights, perm
     )

@@ -5,6 +5,12 @@ import pytest
 
 from repro.core.splits import seed_grow_pivots, seed_grow_split
 from repro.utils.rng import ensure_rng
+from tests.reference_builder import (
+    POINT_KINDS,
+    make_points,
+    reference_seed_grow_pivots,
+    reference_seed_grow_split,
+)
 
 
 class TestSeedGrowPivots:
@@ -63,3 +69,21 @@ class TestSeedGrowSplit:
         left, right = seed_grow_split(points, ensure_rng(0))
         assert left.size == 1
         assert right.size == 1
+
+    @pytest.mark.parametrize("kind", POINT_KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_reference_split(self, kind, seed):
+        """The split reuses its left-pivot distances and computes every pass
+        in a scratch matrix; the partitioned shard split calls it without
+        one.  Pivots, halves and the generator state must equal the
+        reference's, which recomputes each distance with np.linalg.norm."""
+        points = make_points(kind, 90, 3, seed)
+        rng, reference_rng = ensure_rng(seed), ensure_rng(seed)
+        assert seed_grow_pivots(points, rng) == reference_seed_grow_pivots(
+            points, reference_rng
+        )
+        got = seed_grow_split(points, rng)
+        want = reference_seed_grow_split(points, reference_rng)
+        for got_rows, want_rows in zip(got, want):
+            assert np.array_equal(got_rows, want_rows)
+        assert rng.integers(1 << 30) == reference_rng.integers(1 << 30)

@@ -1,12 +1,16 @@
 """Tests for the flat-array tree builder shared by Ball-Tree and BC-Tree."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distances import augment_points
-from repro.core.tree_base import NO_CHILD, NodeView, build_tree
+from repro.core.rp_tree import random_projection_split
+from repro.core.tree_base import NO_CHILD, NodeView, TreeArrays, build_tree
+from tests.reference_builder import POINT_KINDS, make_points, reference_build_tree
 
 
 def _build(points, leaf_size, **kwargs):
@@ -130,6 +134,56 @@ class TestBuildTree:
         for node in range(tree.num_nodes):
             if tree.is_leaf(node):
                 assert tree.node_size(node) <= leaf_size
+
+
+class TestBuildMatchesReference:
+    """The builder reorders a working copy in place and reuses a scratch
+    matrix; its output must equal the per-node-gather reference byte for
+    byte, for every caller's configuration."""
+
+    @given(
+        num_points=st.integers(1, 150),
+        dim=st.integers(1, 6),
+        kind=st.sampled_from(POINT_KINDS),
+        leaf_rule=st.sampled_from(["one", "two", "random", "at_least_n"]),
+        leaf_draw=st.integers(3, 40),
+        centers_from_children=st.booleans(),
+        rp_split=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(num_points=120, dim=3, kind="grid", leaf_rule="two", leaf_draw=3,
+             centers_from_children=True, rp_split=False, seed=5)
+    @example(num_points=64, dim=4, kind="identical", leaf_rule="random",
+             leaf_draw=4, centers_from_children=False, rp_split=False, seed=0)
+    @example(num_points=50, dim=2, kind="near_identical", leaf_rule="one",
+             leaf_draw=3, centers_from_children=True, rp_split=True, seed=1)
+    def test_every_field_equals_the_reference(
+        self, num_points, dim, kind, leaf_rule, leaf_draw,
+        centers_from_children, rp_split, seed,
+    ):
+        points = augment_points(make_points(kind, num_points, dim, seed))
+        leaf_size = {
+            "one": 1, "two": 2, "random": leaf_draw,
+            "at_least_n": num_points + leaf_draw - 3,
+        }[leaf_rule]
+        options = dict(
+            rng=seed,
+            centers_from_children=centers_from_children,
+            split_fn=random_projection_split if rp_split else None,
+        )
+        got = build_tree(points, leaf_size, **options)
+        want = reference_build_tree(points, leaf_size, **options)
+        for field in dataclasses.fields(TreeArrays):
+            assert np.array_equal(
+                getattr(got, field.name), getattr(want, field.name)
+            ), field.name
+
+    def test_leaves_the_callers_points_unchanged(self):
+        points = augment_points(make_points("grid", 200, 5, 3))
+        before = points.copy()
+        points.setflags(write=False)  # any write into the input raises
+        build_tree(points, 4, rng=3, centers_from_children=True)
+        assert np.array_equal(points, before)
 
 
 class TestNodeView:
