@@ -1,10 +1,11 @@
 """Shared fixtures and helpers for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-(Section V) at laptop scale: the data sets are the synthetic surrogates from
+The benchmarks run at laptop scale on the synthetic surrogates from
 :mod:`repro.datasets.registry` (same dimensions as the paper, scaled-down
-``n``), and the output is printed as a text table plus a JSON file under
-``benchmarks/results/``.
+``n``): ``bench_paper_artefacts.py`` regenerates the paper's tables and
+figures (Section V) through :mod:`repro.eval.experiments`, the others the
+ablations, the engine and the serving tiers.  Each prints a text table and
+writes JSON under ``benchmarks/results/``.
 
 Scale knobs (environment variables):
 
@@ -30,10 +31,9 @@ import pytest
 from repro.datasets import load_dataset, random_hyperplane_queries
 from repro.datasets.registry import available_datasets
 from repro.eval import exact_ground_truth
+from repro.eval.experiments import DEFAULT_DATASETS
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-DEFAULT_DATASETS = ["Music", "GloVe", "Sift", "Msong", "Cifar-10", "Sun"]
 
 
 def bench_num_points() -> int:

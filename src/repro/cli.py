@@ -20,8 +20,10 @@ writing code:
   single-process partitioned index.
 * ``python -m repro run <experiment>`` — regenerate one of the paper's
   tables or figures (``table2``, ``table3``, ``fig5`` ... ``fig11``,
-  ``partitioned``, ``batch``) at a configurable scale, printing the same
-  rows the benchmark suite produces and optionally writing JSON/CSV.
+  ``partitioned``, ``batch``) at the paper's configuration on a chosen
+  workload (data sets, points, queries, seed), printing the records
+  ``benchmarks/bench_paper_artefacts.py`` times and optionally writing
+  JSON/CSV.
   ``run batch`` sweeps exact, budgeted and fast configurations and
   reports, per row, the execution path dispatched (``kernel``,
   ``fast-gemm``, or ``per-query`` for indexes without a batch kernel).
@@ -202,13 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--datasets",
         default=None,
-        help="comma-separated data-set names (default: a representative subset)",
+        help=(
+            "comma-separated data-set names (default: a representative "
+            "subset; table2, fig9 and fig10 fix their own)"
+        ),
     )
     run_parser.add_argument("--num-points", type=int, default=4000)
     run_parser.add_argument("--num-queries", type=int, default=20)
-    run_parser.add_argument("--k", type=int, default=10)
-    run_parser.add_argument("--leaf-size", type=int, default=100)
-    run_parser.add_argument("--num-tables", type=int, default=32)
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--json", default=None, help="write records to a JSON file")
     run_parser.add_argument("--csv", default=None, help="write records to a CSV file")
@@ -506,9 +508,6 @@ def _cmd_run(args) -> int:
         datasets=datasets or ExperimentConfig().datasets,
         num_points=args.num_points,
         num_queries=args.num_queries,
-        k=args.k,
-        leaf_size=args.leaf_size,
-        num_tables=args.num_tables,
         seed=args.seed,
     )
     output = run_experiment(args.experiment, config)

@@ -41,7 +41,7 @@ from typing import List
 import numpy as np
 
 from repro.core.distances import augment_points
-from repro.core.splits import seed_grow_pivots
+from repro.core.splits import pivots_coincide, seed_grow_pivots
 from repro.core.tree_base import NO_CHILD, TreeArrays, build_tree
 from repro.storage import as_row_source, balanced_chunks, rows_in_budget
 from repro.utils.rng import ensure_rng
@@ -383,7 +383,7 @@ def _streamed_seed_grow_split(load, perm, start, end, pass_rows, rng) -> int:
     sample_pos = rng.choice(size, size=sample_size, replace=False)
     sample = load(perm[start + np.sort(sample_pos)])
     left_pivot, right_pivot = seed_grow_pivots(sample, rng)
-    if left_pivot == right_pivot or np.allclose(
+    if left_pivot == right_pivot or pivots_coincide(
         sample[left_pivot], sample[right_pivot]
     ):
         return _positional_mid(perm, start, end)

@@ -13,7 +13,9 @@ from typing import Dict, List, Optional, Sequence
 
 
 def format_value(value) -> str:
-    """Render one cell: floats get 3 significant decimals, the rest ``str``."""
+    """Render one cell: floats get 3 significant decimals, None nothing."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
@@ -41,7 +43,8 @@ def render_table(
     Parameters
     ----------
     records:
-        List of dictionaries (missing keys render as empty cells).
+        List of dictionaries (missing keys and ``None`` render as empty
+        cells).
     columns:
         Which keys to show, in order.
     title:

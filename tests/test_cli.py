@@ -27,6 +27,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "fig42"])
 
+    @pytest.mark.parametrize("flag", ["--k", "--leaf-size", "--num-tables"])
+    def test_run_takes_no_method_knobs(self, flag):
+        """Each artefact's configuration is fixed in its driver."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "table3", flag, "5"])
+
     def test_search_defaults(self):
         args = build_parser().parse_args(["search"])
         assert args.method == "bc-tree"
@@ -128,8 +134,6 @@ class TestRunCommand:
                 "300",
                 "--num-queries",
                 "2",
-                "--k",
-                "5",
                 "--json",
                 str(json_path),
                 "--csv",
@@ -138,7 +142,7 @@ class TestRunCommand:
         )
         assert code == 0
         records = json.loads(json_path.read_text())
-        assert len(records) == 4  # one row per BC-Tree variant
+        assert len(records) == 16  # one row per BC-Tree variant and k
         assert csv_path.exists()
         assert "Figure 8" in capsys.readouterr().out
 

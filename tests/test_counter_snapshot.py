@@ -15,8 +15,13 @@ counters did not move on a second OpenBLAS core type
 (``OPENBLAS_CORETYPE=Prescott``).  Its ``build`` entry records the NumPy
 and BLAS build that wrote it, for diagnosis only.
 
-Regenerate after a change that is *meant* to move counters, and review the
-fixture's diff like code::
+The same mechanism pins the paper artefacts' deterministic numbers in
+``tests/fixtures/artefact_snapshot.json``: the ``repro run`` drivers'
+Table III index bytes, Figure 8's mean candidates and prune counters, and
+the trees' recall at every Figure 5 sweep setting, on one small surrogate.
+
+Regenerate both after a change that is *meant* to move them, and review the
+fixtures' diffs like code::
 
     REPRO_UPDATE_COUNTER_SNAPSHOT=1 PYTHONPATH=src \\
         python -m pytest tests/test_counter_snapshot.py -q
@@ -33,6 +38,12 @@ import pytest
 
 from repro import BallTree, BCTree, BestFirstSearcher, KDTree, RPTree
 from repro.datasets import load_dataset, random_hyperplane_queries
+from repro.eval.experiments import (
+    TABLE3_RATIO,
+    TREES,
+    ExperimentConfig,
+    run_experiment,
+)
 from repro.eval.regression import compare_runs
 
 SNAPSHOT = Path(__file__).parent / "fixtures" / "counter_snapshot.json"
@@ -138,14 +149,14 @@ def _records(name, queries, indexes, call):
 COLUMNS = KEY_COLUMNS + ("ids",) + COUNTERS
 
 
-def _write_snapshot(records):
+def _write_snapshot(path, columns, records):
     rows = ",\n".join(
-        json.dumps([r[column] for column in COLUMNS]) for r in records
+        json.dumps([r[column] for column in columns]) for r in records
     )
-    SNAPSHOT.write_text(
+    path.write_text(
         "{\n"
         f'"build": {json.dumps(_build_info(), sort_keys=True)},\n'
-        f'"columns": {json.dumps(COLUMNS)},\n'
+        f'"columns": {json.dumps(columns)},\n'
         '"rows": [\n'
         f"{rows}\n"
         "]}\n",
@@ -153,10 +164,34 @@ def _write_snapshot(records):
     )
 
 
-def _read_snapshot():
-    data = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+def _read_snapshot(path):
+    data = json.loads(path.read_text(encoding="utf-8"))
     records = [dict(zip(data["columns"], row)) for row in data["rows"]]
     return data["build"], records
+
+
+def _assert_unchanged(build, baseline, current, key_columns, metric_columns):
+    """Every baseline row is present with its metrics moved by exactly 0."""
+    report = compare_runs(
+        baseline,
+        current,
+        key_columns=key_columns,
+        metric_columns=metric_columns,
+        tolerance=0,
+    )
+    context = (
+        f"snapshot written by {build}, running on "
+        f"{_build_info()}:\n{report.summary()}"
+    )
+    # at tolerance 0 a metric that rose is a regression, one that fell an
+    # improvement: both are a change of the program's decisions
+    assert not report.missing_in_current, context
+    assert not report.missing_in_baseline, context
+    for moved in (report.regressions, report.improvements):
+        assert not moved, "\n".join(
+            [context] + [str(change.as_record()) for change in moved[:10]]
+        )
+    return context
 
 
 @pytest.fixture(scope="module")
@@ -168,13 +203,15 @@ def workloads():
 def snapshot(workloads):
     if os.environ.get(UPDATE_ENV) == "1":
         _write_snapshot(
+            SNAPSHOT,
+            COLUMNS,
             [
                 record
                 for name, (_, queries, indexes) in workloads.items()
                 for record in _records(name, queries, indexes, "search")
-            ]
+            ],
         )
-    return _read_snapshot()
+    return _read_snapshot(SNAPSHOT)
 
 
 def _key(record):
@@ -188,29 +225,72 @@ def test_counters_and_ids_match_snapshot(workloads, snapshot, name, call):
     current = _records(name, queries, indexes, call)
     build, records = snapshot
     baseline = [r for r in records if r["dataset"] == name]
-    report = compare_runs(
-        baseline,
-        current,
-        key_columns=KEY_COLUMNS,
-        metric_columns=COUNTERS,
-        tolerance=0,
-    )
-    context = (
-        f"snapshot written by {build}, running on "
-        f"{_build_info()}:\n{report.summary()}"
-    )
-    # at tolerance 0 a counter that rose is a regression, one that fell an
-    # improvement: both are a change of the kernel's decisions
-    assert not report.missing_in_current, context
-    assert not report.missing_in_baseline, context
-    for moved in (report.regressions, report.improvements):
-        assert not moved, "\n".join(
-            [context] + [str(change.as_record()) for change in moved[:10]]
-        )
+    context = _assert_unchanged(build, baseline, current, KEY_COLUMNS, COUNTERS)
     # compare_runs skips non-numeric columns, so ids are compared here
     expected = {_key(r): r["ids"] for r in baseline}
     wrong = [_key(r) for r in current if r["ids"] != expected[_key(r)]]
     assert not wrong, f"{context}\n{len(wrong)} rows' ids differ: {wrong[:10]}"
+
+
+# -- the paper artefacts' deterministic numbers ------------------------------
+
+ARTEFACT_SNAPSHOT = SNAPSHOT.with_name("artefact_snapshot.json")
+#: The drivers run at their paper configuration; only the workload is small.
+ARTEFACT_WORKLOAD = ExperimentConfig(
+    datasets=("Music",), num_points=1000, num_queries=10
+)
+ARTEFACTS = ("table3", "fig5", "fig8")
+ARTEFACT_KEYS = ("artefact", "dataset", "method", "setting", "quantity")
+ARTEFACT_COLUMNS = ARTEFACT_KEYS + ("value",)
+
+
+def _pinned(name, record):
+    """``(method, setting, quantity, value)`` of each number a record pins:
+    no times, no distances."""
+    if name == "table3":
+        if record["method"] != TABLE3_RATIO:
+            index_bytes = round(record["index_size_mb"] * 2**20)
+            yield record["method"], "", "index_bytes", index_bytes
+    elif name == "fig8":
+        for quantity in ("avg_candidates", "avg_pruned_ball", "avg_pruned_cone"):
+            yield record["variant"], f"k={record['k']}", quantity, record[quantity]
+    elif record["method"] in TREES and record["recall_target"] is None:
+        setting = json.dumps(record["setting"], sort_keys=True)
+        yield record["method"], setting, "recall", record["recall"]
+
+
+def _artefact_rows(name):
+    return [
+        dict(zip(ARTEFACT_COLUMNS, (name, record["dataset"], *pinned)))
+        for record in run_experiment(name, ARTEFACT_WORKLOAD).records
+        for pinned in _pinned(name, record)
+    ]
+
+
+@pytest.fixture(scope="module")
+def artefact_rows():
+    return {name: _artefact_rows(name) for name in ARTEFACTS}
+
+
+@pytest.fixture(scope="module")
+def artefact_snapshot(artefact_rows):
+    if os.environ.get(UPDATE_ENV) == "1":
+        _write_snapshot(
+            ARTEFACT_SNAPSHOT,
+            ARTEFACT_COLUMNS,
+            [row for name in ARTEFACTS for row in artefact_rows[name]],
+        )
+    return _read_snapshot(ARTEFACT_SNAPSHOT)
+
+
+@pytest.mark.parametrize("name", ARTEFACTS)
+def test_artefact_numbers_match_snapshot(artefact_rows, artefact_snapshot, name):
+    build, records = artefact_snapshot
+    baseline = [r for r in records if r["artefact"] == name]
+    assert baseline, f"no {name} rows in {ARTEFACT_SNAPSHOT.name}"
+    _assert_unchanged(
+        build, baseline, artefact_rows[name], ARTEFACT_KEYS, ("value",)
+    )
 
 
 # -- counter relations the paper's figures rest on (exact search) ----------

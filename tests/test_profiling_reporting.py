@@ -72,6 +72,7 @@ class TestReporting:
         assert format_value(0.000123) == "0.000123"
         assert format_value({"a": 1}) == '{"a": 1}'
         assert format_value("text") == "text"
+        assert format_value(None) == ""
 
     def test_render_table_alignment_and_missing_cells(self):
         records = [

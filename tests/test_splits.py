@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.splits import seed_grow_pivots, seed_grow_split
+from repro.core.splits import pivots_coincide, seed_grow_pivots, seed_grow_split
 from repro.utils.rng import ensure_rng
 from tests.reference_builder import (
     POINT_KINDS,
@@ -11,6 +11,18 @@ from tests.reference_builder import (
     reference_seed_grow_pivots,
     reference_seed_grow_split,
 )
+
+
+class TestPivotsCoincide:
+    def test_equals_allclose_on_finite_rows(self):
+        rng = np.random.default_rng(11)
+        base = rng.normal(scale=100.0, size=(200, 9))
+        base[::7] = 0.0  # the absolute tolerance decides near zero
+        for scale in (0.0, 1e-9, 1e-8, 1e-6, 1e-5, 1e-4, 1.0):
+            other = base + scale * rng.normal(size=base.shape) * (1 + np.abs(base))
+            for a, b in zip(base, other):
+                assert pivots_coincide(a, b) == np.allclose(a, b)
+                assert pivots_coincide(b, a) == np.allclose(b, a)
 
 
 class TestSeedGrowPivots:
