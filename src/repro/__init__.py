@@ -31,8 +31,8 @@ The package exposes:
 * synthetic dataset surrogates and hyperplane query generators
   (:mod:`repro.datasets`),
 * an evaluation harness that regenerates every table and figure of the
-  paper's experimental section (:mod:`repro.eval`, driven by the scripts in
-  ``benchmarks/``), and
+  paper's experimental section (:mod:`repro.eval`, driven by ``repro run``
+  and ``benchmarks/bench_paper_artefacts.py``), and
 * the two motivating applications, active learning and maximum-margin
   clustering (:mod:`repro.apps`).
 

@@ -72,7 +72,9 @@ def load_index(
     Raises
     ------
     ValueError
-        If the file was written with an incompatible format version.
+        If the file was written with an incompatible format version, or
+        holds an index family this build no longer ships (the message
+        names the file and the missing class).
     """
     payload = load_index_payload(path)
     if not with_spec:

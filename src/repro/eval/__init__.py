@@ -35,7 +35,6 @@ from repro.eval.runner import (
     EvaluationResult,
     QueryEvaluation,
     evaluate_index,
-    evaluate_method_grid,
 )
 from repro.eval.statistics import (
     bootstrap_confidence_interval,
@@ -47,7 +46,6 @@ from repro.eval.statistics import (
 from repro.eval.sweeps import (
     SweepPoint,
     pareto_frontier,
-    query_time_at_recall,
     sweep_index,
 )
 
@@ -59,13 +57,11 @@ __all__ = [
     "summarize_query_stats",
     "indexing_report",
     "evaluate_index",
-    "evaluate_method_grid",
     "EvaluationResult",
     "QueryEvaluation",
     "sweep_index",
     "SweepPoint",
     "pareto_frontier",
-    "query_time_at_recall",
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentOutput",

@@ -160,8 +160,8 @@ def _figure_methods(
 
 
 def _sweep(index, workload: _Workload, method: str, k: int = K) -> List[SweepPoint]:
-    """Fit ``index`` and sweep its accuracy knob: a tree's candidate
-    fraction, a hashing scheme's probes per table."""
+    """Sweep a fitted index's accuracy knob: a tree's candidate fraction,
+    a hashing scheme's probes per table."""
     if isinstance(index, BallTree):
         settings = default_tree_settings()
     else:
@@ -323,7 +323,7 @@ def _time_recall(
         )
         curves = {}
         for method, factory in methods.items():
-            curve = _sweep(factory(), workload, method)
+            curve = _sweep(factory().fit(workload.points), workload, method)
             frontier = pareto_frontier(curve)
             records.extend(_curve_row(name, method, p, frontier) for p in curve)
             curves[method] = (curve, frontier)
@@ -374,15 +374,17 @@ FIG6_RECALL = 0.8
 def run_fig6(config: ExperimentConfig) -> ExperimentOutput:
     """Figure 6 — query time vs k at about 80 % recall.
 
-    Each method runs at its cheapest setting reaching 80 % recall; when none
-    does, at its best-recall setting, and ``achieved_recall`` says so.
+    Each method is fitted once and runs, for every k, at its cheapest
+    setting reaching 80 % recall; when none does, at its best-recall
+    setting, and ``achieved_recall`` says so.
     """
     records = []
     for name in config.dataset_names():
         workload = _workload(name, config)
         for method, factory in _figure_methods(config.seed, workload.dim).items():
+            index = factory().fit(workload.points)
             for k in K_VALUES:
-                point = _tuned(_sweep(factory(), workload, method, k), FIG6_RECALL)
+                point = _tuned(_sweep(index, workload, method, k), FIG6_RECALL)
                 records.append(
                     {
                         "dataset": name,
@@ -412,7 +414,11 @@ def run_fig7(config: ExperimentConfig) -> ExperimentOutput:
         for preference in ("center", "lower_bound"):
             methods = _tree_methods(config.seed, branch_preference=preference)
             for method, factory in methods.items():
-                curve = _sweep(factory(), workload, f"{method} ({preference})")
+                curve = _sweep(
+                    factory().fit(workload.points),
+                    workload,
+                    f"{method} ({preference})",
+                )
                 for point in pareto_frontier(curve):
                     records.append(
                         {
@@ -521,7 +527,7 @@ def run_fig10(config: ExperimentConfig) -> ExperimentOutput:
         workload = _workload(name, config)
         for method, factory in _figure_methods(config.seed, workload.dim).items():
             is_tree = method in TREES
-            index = factory()
+            index = factory().fit(workload.points)
             point = _tuned(_sweep(index, workload, method), FIG10_RECALL)
             kwargs = {**point.search_kwargs, **({"profile": True} if is_tree else {})}
             stats = [index.search(q, k=K, **kwargs).stats for q in workload.queries]
@@ -561,11 +567,10 @@ def run_fig11(config: ExperimentConfig) -> ExperimentOutput:
         for leaf_size in FIG11_LEAF_SIZES:
             if leaf_size > workload.points.shape[0]:
                 continue
-            curve = _sweep(
-                build_index("bc_tree", leaf_size=leaf_size, random_state=config.seed),
-                workload,
-                f"BC-Tree (N0={leaf_size})",
-            )
+            index = build_index(
+                "bc_tree", leaf_size=leaf_size, random_state=config.seed
+            ).fit(workload.points)
+            curve = _sweep(index, workload, f"BC-Tree (N0={leaf_size})")
             for point in pareto_frontier(curve):
                 records.append(
                     {

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -98,26 +98,4 @@ def indexing_report(index: P2HIndex) -> Dict[str, float]:
         "indexing_seconds": float(index.indexing_seconds),
         "index_size_bytes": float(index.index_size_bytes()),
         "index_size_mb": float(index.index_size_bytes()) / (1024.0 * 1024.0),
-    }
-
-
-def speedup_table(
-    query_times: Dict[str, float], baseline_methods: Sequence[str]
-) -> Dict[str, float]:
-    """Speed-up of every method relative to the best listed baseline.
-
-    Used for the paper's headline "1.1x-10x faster than NH and FH" summary:
-    the baseline time is the *minimum* over ``baseline_methods`` (i.e. the
-    better of NH and FH), and the speed-up of method ``m`` is
-    ``baseline_time / time[m]``.
-    """
-    baseline_times: List[float] = [
-        query_times[name] for name in baseline_methods if name in query_times
-    ]
-    if not baseline_times:
-        raise ValueError("none of the baseline methods appear in query_times")
-    best_baseline = min(baseline_times)
-    return {
-        name: (best_baseline / time if time > 0 else float("inf"))
-        for name, time in query_times.items()
     }

@@ -23,7 +23,7 @@ unaffected by the execution mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -218,48 +218,3 @@ def evaluate_index(
             )
         )
     return evaluation
-
-
-def evaluate_method_grid(
-    method_factories: Dict[str, Callable[[], P2HIndex]],
-    points: np.ndarray,
-    queries: np.ndarray,
-    k: int,
-    *,
-    dataset_name: str = "dataset",
-    search_grid: Optional[Dict[str, Sequence[Dict]]] = None,
-) -> List[EvaluationResult]:
-    """Evaluate several methods (and search settings) on the same workload.
-
-    Parameters
-    ----------
-    method_factories:
-        Mapping from method name to a zero-argument factory returning a
-        fresh, unfitted index.
-    search_grid:
-        Optional mapping from method name to a list of search-kwargs
-        dictionaries; each setting is evaluated on the already-fitted index
-        (so indexing cost is paid once per method).
-    """
-    ground_truth, _ = exact_ground_truth(points, queries, k)
-    results: List[EvaluationResult] = []
-    for name, factory in method_factories.items():
-        index = factory()
-        settings = (search_grid or {}).get(name, [{}])
-        fitted = False
-        for setting in settings:
-            results.append(
-                evaluate_index(
-                    index,
-                    points,
-                    queries,
-                    k,
-                    method_name=name,
-                    dataset_name=dataset_name,
-                    ground_truth=ground_truth,
-                    search_kwargs=setting,
-                    fit=not fitted,
-                )
-            )
-            fitted = True
-    return results

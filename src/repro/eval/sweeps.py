@@ -4,8 +4,8 @@ Figures 5, 6, 7, 9 and 11 of the paper are all built from the same
 primitive: for a fixed index, vary the knob that trades accuracy for time
 (candidate fraction for the trees, probes/tables for the hashing schemes),
 measure (recall, query time) at every setting, and either plot the whole
-curve (Fig. 5/7/9/11) or interpolate the query time at a target recall
-(Fig. 6/8: "query time at about 80% recall").
+curve (Fig. 5/7/9/11) or pick the cheapest setting reaching a target recall
+(Fig. 6/10: "query time at about 80% recall").
 """
 
 from __future__ import annotations
@@ -41,17 +41,21 @@ def sweep_index(
     dataset_name: str = "dataset",
     ground_truth: Optional[np.ndarray] = None,
 ) -> List[SweepPoint]:
-    """Evaluate one index under several search settings (index fitted once).
+    """Evaluate a fitted index under several search settings.
+
+    The index is never refitted, so one fit serves every sweep a caller
+    runs on it (Figure 6 sweeps each fitted method once per k).
 
     Parameters
     ----------
+    index:
+        An index already fitted on ``points``.
     settings:
         A list of search-kwargs dictionaries, e.g.
         ``[{"candidate_fraction": 0.01}, {"candidate_fraction": 0.05}, {}]``.
     """
     if ground_truth is None:
         ground_truth, _ = exact_ground_truth(points, queries, k)
-    index.fit(points)
     curve: List[SweepPoint] = []
     for setting in settings:
         evaluation = evaluate_index(
@@ -92,21 +96,6 @@ def pareto_frontier(curve: Sequence[SweepPoint]) -> List[SweepPoint]:
             best_time = point.avg_query_ms
     frontier.reverse()
     return frontier
-
-
-def query_time_at_recall(
-    curve: Sequence[SweepPoint], target_recall: float
-) -> Optional[float]:
-    """Query time (ms) of the cheapest setting reaching ``target_recall``.
-
-    Returns ``None`` when no setting on the curve reaches the target (the
-    paper then reports the method at its highest achievable recall; callers
-    can fall back to :func:`best_recall_point`).
-    """
-    eligible = [p for p in curve if p.recall >= target_recall]
-    if not eligible:
-        return None
-    return float(min(p.avg_query_ms for p in eligible))
 
 
 def best_recall_point(curve: Sequence[SweepPoint]) -> SweepPoint:

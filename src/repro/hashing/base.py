@@ -263,9 +263,10 @@ class HashingIndex(P2HIndex):
 
         Earlier releases keyed ``_tables`` by tuples of ints; loading such
         a pickle into the byte-key probe would silently miss every bucket
-        and return empty results, so convert the keys on load.
+        and return empty results, so convert the keys on load.  The base
+        class's migration of pre-storage-layer pickles runs first.
         """
-        self.__dict__.update(state)
+        super().__setstate__(state)
         tables = self.__dict__.get("_tables")
         if isinstance(tables, list):
             self._tables = [

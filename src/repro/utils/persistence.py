@@ -124,6 +124,32 @@ def _sidecar_for(path: Path) -> Path:
     return path.with_name(path.name + ".arrays")
 
 
+class _PayloadUnpickler(pickle.Unpickler):
+    """Unpickler that names a ``repro`` class this build does not ship.
+
+    A payload saved by an index family since removed from the library
+    refers to a ``repro`` module or class that no longer exists; loading
+    it raises a :class:`ValueError` naming the file and the class instead
+    of a bare ``ModuleNotFoundError``.  Every other error propagates.
+    """
+
+    def __init__(self, handle, path) -> None:
+        super().__init__(handle)
+        self._path = path
+
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except (ImportError, AttributeError) as error:
+            if module != "repro" and not module.startswith("repro."):
+                raise
+            raise ValueError(
+                f"{self._path} holds a {module}.{name}, which this build "
+                "of repro does not ship; rebuild the index from a "
+                "registered kind"
+            ) from error
+
+
 def _check_header(path, header: Dict[str, Any]) -> None:
     version = header.get("format_version")
     if version != FORMAT_VERSION:
@@ -153,12 +179,14 @@ def load_index_payload(path) -> Dict[str, Any]:
     ------
     ValueError
         If the file is a payload written with a different
-        ``format_version`` than this build understands, or the payload is
-        truncated (header frame without an index frame).
+        ``format_version`` than this build understands, the payload is
+        truncated (header frame without an index frame), or it holds a
+        ``repro`` class this build does not ship (an index family since
+        removed).
     """
     path = Path(path)
     with path.open("rb") as handle:
-        obj = pickle.load(handle)
+        obj = _PayloadUnpickler(handle, path).load()
         if isinstance(obj, dict) and obj.get("format") == FORMAT_NAME:
             _check_header(path, obj)
             try:
@@ -181,77 +209,60 @@ def _load_index_frame(path: Path, handle):
     """Unpickle the index frame, binding any mmap stores to the sidecar."""
     sidecar = _sidecar_for(path)
     if not sidecar.is_dir():
-        return pickle.load(handle)
+        return _PayloadUnpickler(handle, path).load()
     from repro.storage.mmap import SIDECAR_DIRECTORY
 
     token = SIDECAR_DIRECTORY.set(str(sidecar))
     try:
-        return pickle.load(handle)
+        return _PayloadUnpickler(handle, path).load()
     finally:
         SIDECAR_DIRECTORY.reset(token)
+
+
+def read_index_header(path) -> Optional[Dict[str, Any]]:
+    """The full header dict of a payload, without unpickling the index.
+
+    None for legacy raw pickles (which have no header frame, so their
+    single frame — the index itself — is unpickled and discarded); raises
+    the same :class:`ValueError` as :func:`load_index_payload` for
+    incompatible payloads.  Backs :func:`repro.api.describe_index` and the
+    single-key readers below.
+    """
+    with Path(path).open("rb") as handle:
+        obj = _PayloadUnpickler(handle, path).load()
+    if isinstance(obj, dict) and obj.get("format") == FORMAT_NAME:
+        _check_header(path, obj)
+        return dict(obj)
+    return None
 
 
 def read_index_spec(path) -> Optional[Dict[str, Any]]:
     """The spec dict from a payload's header, without unpickling the index.
 
-    Returns None for payloads saved without a spec and for legacy raw
-    pickles (whose single frame *is* the index, so the header-only saving
-    does not apply to them — they are fully unpickled and discarded);
-    raises the same version-mismatch :class:`ValueError` as
-    :func:`load_index_payload`.
+    None for payloads saved without a spec and for legacy raw pickles.
     """
-    with Path(path).open("rb") as handle:
-        obj = pickle.load(handle)
-    if isinstance(obj, dict) and obj.get("format") == FORMAT_NAME:
-        _check_header(path, obj)
-        return obj.get("spec")
-    return None
+    header = read_index_header(path)
+    return None if header is None else header.get("spec")
 
 
 def read_storage_dtype(path) -> Optional[str]:
     """The ``storage_dtype`` header key, without unpickling the index.
 
-    Returns None for payloads written before the key existed and for
-    legacy raw pickles; raises the same version-mismatch
-    :class:`ValueError` as :func:`load_index_payload`.
+    None for payloads written before the key existed and for legacy raw
+    pickles.
     """
-    with Path(path).open("rb") as handle:
-        obj = pickle.load(handle)
-    if isinstance(obj, dict) and obj.get("format") == FORMAT_NAME:
-        _check_header(path, obj)
-        return obj.get("storage_dtype")
-    return None
+    header = read_index_header(path)
+    return None if header is None else header.get("storage_dtype")
 
 
 def read_storage_header(path) -> Optional[Dict[str, Any]]:
     """The ``storage`` header key, without unpickling the index.
 
     ``{"backend": ..., "dtype": ...}`` for payloads written by the
-    storage-layer library; None for older payloads and legacy raw
-    pickles; raises the same version-mismatch :class:`ValueError` as
-    :func:`load_index_payload`.
+    storage-layer library; None for older payloads and legacy raw pickles.
     """
-    with Path(path).open("rb") as handle:
-        obj = pickle.load(handle)
-    if isinstance(obj, dict) and obj.get("format") == FORMAT_NAME:
-        _check_header(path, obj)
-        return obj.get("storage")
-    return None
-
-
-def read_index_header(path) -> Optional[Dict[str, Any]]:
-    """The full header dict of a payload, without unpickling the index.
-
-    None for legacy raw pickles (which have no header frame); raises the
-    version-mismatch :class:`ValueError` for incompatible payloads.
-    Backs :func:`repro.api.describe_index`.
-    """
-    with Path(path).open("rb") as handle:
-        obj = pickle.load(handle)
-    if isinstance(obj, dict) and obj.get("format") == FORMAT_NAME:
-        _check_header(path, obj)
-        return dict(obj)
-    return None
+    header = read_index_header(path)
+    return None if header is None else header.get("storage")
 
 
 def load_typed_index(path, cls):

@@ -14,12 +14,22 @@ Covers the satellite persistence work of the API redesign:
 from __future__ import annotations
 
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
 
-from repro.api import IndexSpec, build_index, load_index, save_index, saved_spec
+from repro.api import (
+    IndexSpec,
+    build_index,
+    describe_index,
+    load_index,
+    save_index,
+    saved_spec,
+)
 from repro.core.dynamic import DynamicP2HIndex
+from repro.core import linear_scan
 from repro.core.factories import DefaultBCTreeFactory
 from repro.core.partitioned import PartitionedP2HIndex
 from repro.utils import persistence
@@ -243,4 +253,84 @@ class TestFormatVersioning:
             "format_version": persistence.FORMAT_VERSION,
         }))
         with pytest.raises(ValueError, match="no index"):
+            load_index(path)
+
+    @pytest.mark.parametrize("kind", ["nh", "fh"])
+    def test_pre_storage_layer_hashing_pickle_loads(self, tmp_path, kind):
+        """A hashing index pickled before the storage layer (no
+        ``_fitted``, ``storage`` or ``_store``) loads and answers as
+        before."""
+        params = {"num_tables": 8, "random_state": 1}
+        if kind == "fh":
+            params["num_partitions"] = 2
+        index = build_index(kind, **params).fit(POINTS)
+        legacy = object.__new__(type(index))
+        legacy.__dict__.update(
+            (key, value) for key, value in vars(index).items()
+            if key not in ("_fitted", "storage", "_store")
+        )
+        path = tmp_path / "legacy.idx"
+        path.write_bytes(pickle.dumps(legacy))
+        _assert_same_answers(index, load_index(path))
+
+
+class TestMissingClasses:
+    """Payloads naming a ``repro`` class this build does not ship, as a
+    file saved by an index family since removed from the library does."""
+
+    @pytest.mark.parametrize("where", ["module", "class"])
+    def test_load_names_the_file_and_the_missing_class(
+        self, tmp_path, monkeypatch, where
+    ):
+        if where == "module":
+            module = types.ModuleType("repro.retired_family")
+            monkeypatch.setitem(sys.modules, module.__name__, module)
+        else:
+            module = linear_scan
+        retired = type("RetiredScan", (linear_scan.LinearScan,), {})
+        retired.__module__ = module.__name__
+        monkeypatch.setattr(module, "RetiredScan", retired, raising=False)
+        index = build_index("linear_scan").fit(POINTS)
+        index.__class__ = retired
+        path = tmp_path / "retired.idx"
+        save_index(index, path)
+        monkeypatch.undo()
+
+        with pytest.raises(ValueError) as excinfo:
+            load_index(path)
+        assert str(path) in str(excinfo.value)
+        assert f"{module.__name__}.RetiredScan" in str(excinfo.value)
+        # The header frame names no class, so it still describes the file.
+        assert describe_index(path).kind == "linear_scan"
+
+    def test_pre_envelope_pickle_of_a_missing_class(self, tmp_path):
+        """A raw pickle has no header frame, so describing it unpickles
+        the index too, and fails the same way as loading it."""
+        path = tmp_path / "raw.pkl"
+        path.write_bytes(b"crepro.core.retired\nRetiredTree\n.")
+        for read in (load_index, describe_index, saved_spec):
+            with pytest.raises(
+                ValueError, match="repro.core.retired.RetiredTree"
+            ):
+                read(path)
+
+    @pytest.mark.parametrize("frame,error,match", [
+        (b"crepro.core.ball_tree\nNoSuchTree\n.", ValueError,
+         "repro.core.ball_tree.NoSuchTree"),
+        (b"cno_such_module_outside_repro\nThing\n.", ModuleNotFoundError,
+         None),
+        (b"\x80\x05\xff.", pickle.UnpicklingError, None),
+    ], ids=["missing-repro-class", "module-outside-repro", "corrupt-frame"])
+    def test_only_a_missing_repro_class_is_translated(
+        self, tmp_path, frame, error, match
+    ):
+        path = tmp_path / "frame.idx"
+        path.write_bytes(
+            pickle.dumps({
+                "format": persistence.FORMAT_NAME,
+                "format_version": persistence.FORMAT_VERSION,
+            })
+            + frame
+        )
+        with pytest.raises(error, match=match):
             load_index(path)

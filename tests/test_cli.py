@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api import available_indexes
+from repro.cli import METHOD_CHOICES, build_parser, main, method_spec
 from repro.datasets.io import write_fvecs
 
 
@@ -32,6 +33,16 @@ class TestParser:
         """Each artefact's configuration is fixed in its driver."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table3", flag, "5"])
+
+    def test_every_method_builds_a_registered_kind(self):
+        parser = build_parser()
+        kinds = {
+            method_spec(parser.parse_args(["search", "--method", method])).kind
+            for method in METHOD_CHOICES
+        }
+        # The composites and the MIPS adapter stay library-only.
+        library_only = {"dynamic", "partitioned", "mips"}
+        assert kinds == set(available_indexes()) - library_only
 
     def test_search_defaults(self):
         args = build_parser().parse_args(["search"])

@@ -7,7 +7,8 @@ weaker point bound, a swapped child order, a mode that silently runs the
 plain leaf scan) passes all of them.  This test pins, per query, the answer
 ids and the six :class:`~repro.core.results.SearchStats` work counters of
 every tree family and mode on two small seeded surrogates, and compares
-them with ``tests/fixtures/counter_snapshot.json`` at tolerance 0.
+them exactly with ``tests/fixtures/counter_snapshot.json``: the same rows,
+each key once, every value equal.
 
 The snapshot holds no times and no distances: distance bits move with the
 BLAS kernel (GEMV rounding differs between CPU code paths), while ids and
@@ -44,7 +45,6 @@ from repro.eval.experiments import (
     ExperimentConfig,
     run_experiment,
 )
-from repro.eval.regression import compare_runs
 
 SNAPSHOT = Path(__file__).parent / "fixtures" / "counter_snapshot.json"
 UPDATE_ENV = "REPRO_UPDATE_COUNTER_SNAPSHOT"
@@ -146,7 +146,8 @@ def _records(name, queries, indexes, call):
 
 
 #: One fixture row per query: its key, its answer ids, its counters.
-COLUMNS = KEY_COLUMNS + ("ids",) + COUNTERS
+VALUE_COLUMNS = ("ids",) + COUNTERS
+COLUMNS = KEY_COLUMNS + VALUE_COLUMNS
 
 
 def _write_snapshot(path, columns, records):
@@ -170,28 +171,35 @@ def _read_snapshot(path):
     return data["build"], records
 
 
-def _assert_unchanged(build, baseline, current, key_columns, metric_columns):
-    """Every baseline row is present with its metrics moved by exactly 0."""
-    report = compare_runs(
-        baseline,
-        current,
-        key_columns=key_columns,
-        metric_columns=metric_columns,
-        tolerance=0,
+def _by_key(rows, key_columns, value_columns):
+    """``key -> JSON text of the row's values``; a repeated key fails."""
+    keyed = {}
+    for row in rows:
+        key = tuple(row[column] for column in key_columns)
+        assert key not in keyed, f"row {key} appears twice"
+        keyed[key] = json.dumps([row[column] for column in value_columns])
+    return keyed
+
+
+def _assert_unchanged(build, baseline, current, key_columns, value_columns):
+    """Both sides hold the same keys, once each, with the same values.
+
+    Values compare as JSON text, so a number that became None, NaN or a
+    string (or an int that became a float) counts as a change.
+    """
+    want = _by_key(baseline, key_columns, value_columns)
+    got = _by_key(current, key_columns, value_columns)
+    context = f"snapshot written by {build}, running on {_build_info()}"
+    missing = [key for key in want if key not in got]
+    extra = [key for key in got if key not in want]
+    assert not missing and not extra, (
+        f"{context}\nmissing rows: {missing[:10]}\nextra rows: {extra[:10]}"
     )
-    context = (
-        f"snapshot written by {build}, running on "
-        f"{_build_info()}:\n{report.summary()}"
+    moved = [f"{key}: {want[key]} -> {got[key]}" for key in want
+             if want[key] != got[key]]
+    assert not moved, "\n".join(
+        [context, f"{len(moved)} rows changed:"] + moved[:10]
     )
-    # at tolerance 0 a metric that rose is a regression, one that fell an
-    # improvement: both are a change of the program's decisions
-    assert not report.missing_in_current, context
-    assert not report.missing_in_baseline, context
-    for moved in (report.regressions, report.improvements):
-        assert not moved, "\n".join(
-            [context] + [str(change.as_record()) for change in moved[:10]]
-        )
-    return context
 
 
 @pytest.fixture(scope="module")
@@ -214,10 +222,6 @@ def snapshot(workloads):
     return _read_snapshot(SNAPSHOT)
 
 
-def _key(record):
-    return tuple(record[column] for column in KEY_COLUMNS)
-
-
 @pytest.mark.parametrize("call", ["search", "batch_search"])
 @pytest.mark.parametrize("name", DATASETS)
 def test_counters_and_ids_match_snapshot(workloads, snapshot, name, call):
@@ -225,11 +229,7 @@ def test_counters_and_ids_match_snapshot(workloads, snapshot, name, call):
     current = _records(name, queries, indexes, call)
     build, records = snapshot
     baseline = [r for r in records if r["dataset"] == name]
-    context = _assert_unchanged(build, baseline, current, KEY_COLUMNS, COUNTERS)
-    # compare_runs skips non-numeric columns, so ids are compared here
-    expected = {_key(r): r["ids"] for r in baseline}
-    wrong = [_key(r) for r in current if r["ids"] != expected[_key(r)]]
-    assert not wrong, f"{context}\n{len(wrong)} rows' ids differ: {wrong[:10]}"
+    _assert_unchanged(build, baseline, current, KEY_COLUMNS, VALUE_COLUMNS)
 
 
 # -- the paper artefacts' deterministic numbers ------------------------------

@@ -10,15 +10,14 @@ from repro.datasets.synthetic import clustered_gaussian
 from repro.eval import (
     average_recall,
     evaluate_index,
-    evaluate_method_grid,
     exact_ground_truth,
     pareto_frontier,
-    query_time_at_recall,
     recall_at_k,
     summarize_query_stats,
     sweep_index,
 )
-from repro.eval.metrics import indexing_report, speedup_table
+from repro.eval.experiments import _cheapest_at
+from repro.eval.metrics import indexing_report
 from repro.eval.sweeps import (
     SweepPoint,
     best_recall_point,
@@ -109,14 +108,6 @@ class TestMetrics:
             report["index_size_bytes"] / 2**20
         )
 
-    def test_speedup_table(self):
-        times = {"BC-Tree": 1.0, "Ball-Tree": 2.0, "NH": 8.0, "FH": 4.0}
-        speedups = speedup_table(times, baseline_methods=["NH", "FH"])
-        assert speedups["BC-Tree"] == pytest.approx(4.0)
-        assert speedups["FH"] == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            speedup_table(times, baseline_methods=["missing"])
-
 
 class TestRunner:
     def test_exact_index_has_full_recall(self, eval_workload):
@@ -149,30 +140,12 @@ class TestRunner:
         evaluation = evaluate_index(tree, points, queries, 5, fit=False)
         assert evaluation.recall == pytest.approx(1.0)
 
-    def test_method_grid(self, eval_workload):
-        points, queries = eval_workload
-        results = evaluate_method_grid(
-            {
-                "Ball-Tree": lambda: BallTree(leaf_size=30, random_state=0),
-                "BC-Tree": lambda: BCTree(leaf_size=30, random_state=0),
-            },
-            points,
-            queries,
-            5,
-            search_grid={"BC-Tree": [{"candidate_fraction": 0.2}, {}]},
-        )
-        methods = [r.method for r in results]
-        assert methods.count("Ball-Tree") == 1
-        assert methods.count("BC-Tree") == 2
-        exact_bc = [r for r in results if r.method == "BC-Tree" and not r.search_kwargs]
-        assert exact_bc[0].recall == pytest.approx(1.0)
-
 
 class TestSweeps:
     def test_sweep_and_frontier(self, eval_workload):
         points, queries = eval_workload
         curve = sweep_index(
-            BCTree(leaf_size=20, random_state=0),
+            BCTree(leaf_size=20, random_state=0).fit(points),
             points,
             queries,
             5,
@@ -189,14 +162,14 @@ class TestSweeps:
         recall_values = [p.recall for p in frontier]
         assert recall_values == sorted(recall_values)
 
-    def test_query_time_at_recall(self):
+    def test_cheapest_at_and_best_recall_point(self):
         curve = [
             SweepPoint({"a": 1}, recall=0.5, avg_query_ms=1.0),
             SweepPoint({"a": 2}, recall=0.9, avg_query_ms=3.0),
             SweepPoint({"a": 3}, recall=0.95, avg_query_ms=10.0),
         ]
-        assert query_time_at_recall(curve, 0.8) == pytest.approx(3.0)
-        assert query_time_at_recall(curve, 0.99) is None
+        assert _cheapest_at(curve, 0.8) is curve[1]
+        assert _cheapest_at(curve, 0.99) is None
         assert best_recall_point(curve).recall == pytest.approx(0.95)
         with pytest.raises(ValueError):
             best_recall_point([])

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.index_base import P2HIndex
 from repro.datasets.registry import DATASETS, available_datasets
 from repro.eval.experiments import (
     EXPERIMENTS,
+    K_VALUES,
     TABLE3_RATIO,
     ExperimentConfig,
     run_experiment,
@@ -147,6 +151,20 @@ class TestFigureDrivers:
         assert _tuned([fast_worst, slow_best], 0.8) is slow_best
         cheap, dear = point(0.85, 2.0), point(0.95, 3.0)
         assert _tuned([dear, slow_best, cheap], 0.8) is cheap
+
+    def test_fig6_fits_each_method_once(self, monkeypatch):
+        """Fig. 6 sweeps one fitted index per method for every k."""
+        fits = Counter()
+        fit = P2HIndex.fit
+
+        def counting_fit(index, points):
+            fits[type(index).__name__] += 1
+            return fit(index, points)
+
+        monkeypatch.setattr(P2HIndex, "fit", counting_fit)
+        output = run_experiment("fig6", TINY)
+        assert {record["k"] for record in output.records} == set(K_VALUES)
+        assert fits == {"BCTree": 1, "BallTree": 1, "NHIndex": 1, "FHIndex": 1}
 
     def test_fig8_has_all_variants_at_full_recall(self, tiny):
         output = tiny("fig8")

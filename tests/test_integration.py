@@ -99,7 +99,7 @@ class TestFigure5And8Shape:
     def test_recall_grows_along_the_tree_sweep(self, workload):
         points, queries, _, _ = workload
         curve = sweep_index(
-            BCTree(leaf_size=100, random_state=0),
+            BCTree(leaf_size=100, random_state=0).fit(points),
             points,
             queries,
             10,

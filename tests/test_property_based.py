@@ -53,7 +53,9 @@ from repro.engine.batch import kernel_dispatch_path  # noqa: E402
 from repro.core.distances import augment_points, normalize_query  # noqa: E402
 from repro.hashing import (  # noqa: E402
     AngularHyperplaneHash,
+    FHIndex,
     MultilinearHyperplaneHash,
+    NHIndex,
 )
 
 COUNTER_FIELDS = (
@@ -100,7 +102,13 @@ budget_options = st.one_of(
     ),
 )
 
+# The paper's two hashing baselines and the four related-work schemes,
+# each small enough to fit per example.
 HASH_FAMILIES = {
+    "nh": lambda: NHIndex(num_tables=4, sample_dim=8, random_state=5),
+    "fh": lambda: FHIndex(
+        num_tables=4, num_partitions=2, sample_dim=8, random_state=5
+    ),
     "bh": lambda: MultilinearHyperplaneHash(
         "bh", num_tables=4, bits_per_table=3, random_state=5
     ),
