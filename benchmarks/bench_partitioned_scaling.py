@@ -6,7 +6,9 @@ search.  This benchmark shards each workload into 1/2/4/8 partitions with
 the paper's own seed-grow rule, builds one BC-Tree per shard, and measures
 how exact query cost and indexing cost move with the shard count (per-shard
 work shrinks, but every shard must be visited, so the merged exact search
-pays a little extra per shard).
+pays a little extra per shard).  At every shard count it also checks that
+``batch_search(n_jobs=2)`` — every shard's kernel on worker chunks plus
+the block merge — returns the per-query ``search`` ids and distances.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ PARTITION_COUNTS = (1, 2, 4, 8)
 
 
 def test_partitioned_scaling(benchmark, workloads, results_dir):
-    """Exact sharded search: recall stays 1.0 for every shard count."""
+    """Exact sharded search: recall stays 1.0 for every shard count, and
+    the batch path equals the per-query path."""
     records = []
     for name, workload in workloads.items():
         truth_idx, _ = workload.truth(K)
@@ -36,12 +39,19 @@ def test_partitioned_scaling(benchmark, workloads, results_dir):
             recalls = []
             times = []
             candidates = []
+            sequential = []
             for query, truth in zip(workload.queries, truth_idx):
                 with Timer() as timer:
                     result = index.search(query, k=K)
                 times.append(timer.elapsed)
                 candidates.append(result.stats.candidates_verified)
                 recalls.append(average_recall([result], truth[None, :]))
+                sequential.append(result)
+            batch = index.batch_search(workload.queries, k=K, n_jobs=2)
+            assert len(batch) == len(sequential)
+            for got, expected in zip(batch, sequential):
+                np.testing.assert_array_equal(got.indices, expected.indices)
+                np.testing.assert_array_equal(got.distances, expected.distances)
             report = index.indexing_report()
             records.append(
                 {

@@ -6,10 +6,10 @@ Two contracts from the batching and serving layers:
   callable from thread pools, process pools and inline — batch ==
   sequential parity holds only if workers are pure with respect to
   shared state.  A task callable handed to ``.map(...)``/``.submit(...)``
-  or passed as a ``search_fn=`` must not declare ``global``/``nonlocal``
-  or assign to ``self.<attr>``.  Pool ``initializer=`` callables are
-  exempt: mutating per-process globals is exactly their job (that is how
-  ``engine/batch.py`` plants ``_WORKER_INDEX``).
+  must not declare ``global``/``nonlocal`` or assign to ``self.<attr>``.
+  Pool ``initializer=`` callables are exempt: mutating per-process
+  globals is exactly their job (that is how ``engine/batch.py`` plants
+  ``_WORKER_INDEX``).
 * **Non-blocking coroutines (REP302).**  ``async def`` bodies in the
   serve tier run on the event loop; one blocking call stalls every
   connection.  Flagged: ``time.sleep``, synchronous ``searcher.*search*``
@@ -34,9 +34,6 @@ from repro.analysis.rules.determinism import _attribute_chain
 
 #: Executor methods whose positional-first callable is a task callable.
 _DISPATCH_METHODS = ("map", "submit")
-
-#: Keyword names carrying task callables in this codebase.
-_DISPATCH_KEYWORDS = ("search_fn",)
 
 #: Keyword names carrying per-process initializers (exempt from REP301).
 _INITIALIZER_KEYWORDS = ("initializer",)
@@ -63,10 +60,6 @@ def _dispatched_names(tree: ast.Module) -> Dict[str, ast.Call]:
                 keyword.value, ast.Name
             ):
                 initializers.add(keyword.value.id)
-            elif keyword.arg in _DISPATCH_KEYWORDS and isinstance(
-                keyword.value, ast.Name
-            ):
-                dispatched.setdefault(keyword.value.id, node)
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr in _DISPATCH_METHODS
@@ -106,8 +99,8 @@ class WorkerMutatesSharedState(Rule):
     rule_id = "REP301"
     name = "worker-shared-mutation"
     description = (
-        "callables dispatched via executor .map/.submit or search_fn= must "
-        "not declare global/nonlocal or assign to self.<attr>"
+        "callables dispatched via executor .map/.submit must not declare "
+        "global/nonlocal or assign to self.<attr>"
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:

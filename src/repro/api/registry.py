@@ -82,8 +82,13 @@ def register_index(
 
     Notes
     -----
-    Registered indexes work with specs, JSON configs, persistence, and
-    :class:`~repro.api.Searcher` sessions.  A family whose fitted state
+    Registered indexes work with specs, JSON configs and persistence.
+    Batched search — ``batch_search``, :class:`~repro.api.Searcher`
+    sessions, the server and the cluster — calls the index's
+    ``_batch_kernel(queries, k, **options)``; a family gets one by
+    subclassing :class:`~repro.core.index_base.P2HIndex` (whose default
+    kernel answers each row with ``_search_one``), and an index without
+    one raises ``TypeError`` there.  A family whose fitted state
     can change (refits, inserts, deletes) should maintain an integer
     ``_mutation_version`` attribute bumped on every mutation — process
     sessions use it to invalidate their worker-side snapshot; without it

@@ -13,10 +13,10 @@ thread/process pool sized from its :class:`~repro.api.SearchOptions`;
 process workers are initialized exactly once with the fitted index
 (reusing the engine's ``_process_worker_init``), and every subsequent
 ``batch_search`` / ``stream`` call ships only the query chunks plus the
-per-call options.  Dispatch, chunking, scheduling, and kernel selection are
-the engine's own (``execute_batch`` with the session pool plugged in), so
-results **and** work-counter stats are bit-identical to the per-call path
-for every index family, executor, and ``n_jobs``.
+per-call options.  Chunking and the kernel call are the engine's own
+(``execute_batch`` with the session pool plugged in), so results **and**
+work-counter stats are bit-identical to the per-call path for every index
+family, executor, and ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ class Searcher:
     ----------
     index:
         Any fitted index — static tree/hashing families as well as the
-        dynamic and partitioned composites (anything exposing ``search``).
+        dynamic and partitioned composites.  :meth:`search` needs only
+        ``search``; :meth:`batch_search` and :meth:`stream` also need the
+        index's ``_batch_kernel`` (see the notes).
     options:
         The session's :class:`~repro.api.SearchOptions`; defaults are used
         when omitted.  ``n_jobs``/``executor`` fix the pool for the whole
@@ -78,13 +80,13 @@ class Searcher:
     one session across threads.  Exiting the context (or calling
     :meth:`close`) shuts the pool down; a closed session raises on use.
 
-    Per-call search options must be ones the index's ``search`` accepts.
-    Families whose ``batch_search`` override adds *batch-level-only* knobs
-    (``LinearScan``'s ``vectorized``, ``BallTreeMIPS``'s ``absolute``,
-    mirrored by the ``_session_native_batch`` marker) keep those knobs
-    working under **thread** sessions, which route through the native
-    override; a process session forwards them to ``search`` and fails with
-    the same ``TypeError`` the per-query path raises.
+    Per-call search options must be ones the index's batch kernel
+    accepts (``BallTreeMIPS``'s ``absolute`` included); an unknown option
+    raises the same ``TypeError`` as ``search``.  Every call, on either
+    executor, runs :func:`repro.engine.batch.execute_batch` on the session
+    pool, so batched search needs an index with a ``_batch_kernel`` —
+    every family in the library has one, and a third-party family gets
+    one by subclassing :class:`~repro.core.index_base.P2HIndex`.
     """
 
     def __init__(
@@ -272,22 +274,6 @@ class Searcher:
         """
         self._check_open()
         options = self._call_options(k, overrides)
-        if options.executor == "thread" and getattr(
-            self.index, "_session_native_batch", False
-        ):
-            # Composite indexes with their own vectorized batched path
-            # (the partitioned index's per-shard batches + block merge)
-            # keep it under thread sessions — a thread pool costs nothing
-            # to stand up per call, and the native path is the faster
-            # decomposition.  Process sessions stay on the session pool,
-            # whose amortized spawn is the whole point.
-            return self.index.batch_search(
-                queries,
-                k=options.k,
-                n_jobs=self.workers,
-                executor="thread",
-                **options.search_kwargs(),
-            )
         # Inline batches (one worker, or zero/one query) never touch a
         # pool inside execute_batch, so don't spawn — or respawn after a
         # mutation — one for them.

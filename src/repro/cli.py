@@ -25,8 +25,7 @@ writing code:
   ``benchmarks/bench_paper_artefacts.py`` times and optionally writing
   JSON/CSV.
   ``run batch`` sweeps exact, budgeted and fast configurations and
-  reports, per row, the execution path dispatched (``kernel``,
-  ``fast-gemm``, or ``per-query`` for indexes without a batch kernel).
+  reports, per row, the kernel dispatched (``kernel`` or ``fast-gemm``).
 
 Every command is deterministic for a fixed ``--seed``.
 """

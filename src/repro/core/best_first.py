@@ -22,7 +22,8 @@ apply identically.
 
 from __future__ import annotations
 
-from typing import Optional
+import time
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from repro.core.ball_tree import BallTree
 from repro.core.index_base import NotFittedError
 from repro.core.results import SearchResult
 from repro.engine.batch import BatchSearchResult, execute_batch
+from repro.engine.block import attach_block_timing
+from repro.utils.validation import check_query_vector
 
 
 class BestFirstSearcher:
@@ -88,21 +91,12 @@ class BestFirstSearcher:
             Optional approximate-search budget, interpreted exactly as by
             :meth:`BallTree.search`.
         """
-        index = self.index
-        # Reuse the owning index's validation and normalization path so a
-        # best-first search sees exactly the same query as a DFS search.
-        from repro.core.distances import normalize_query
-        from repro.utils.validation import check_query_vector
-
-        q = check_query_vector(query, expected_dim=index.dim, name="query")
-        if index.normalize_queries:
-            q = normalize_query(q)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), index.num_points)
-        budget = index._resolve_budget(candidate_fraction, max_candidates)
-        return index._engine().block_kernel().search_block(
-            q[None, :], k, budget=budget, order="best_first"
+        q = check_query_vector(query, name="query")
+        return self._batch_kernel(
+            q[None, :],
+            k,
+            candidate_fraction=candidate_fraction,
+            max_candidates=max_candidates,
         )[0]
 
     def batch_search(
@@ -118,13 +112,34 @@ class BestFirstSearcher:
         Dispatched through :func:`repro.engine.batch.execute_batch`, so the
         results are bit-identical to sequential calls for every ``n_jobs``.
         """
-        return execute_batch(
-            self.index,
-            queries,
-            k,
-            n_jobs=n_jobs,
-            search_fn=lambda q: self.search(q, k=k, **search_kwargs),
+        return execute_batch(self, queries, k, n_jobs=n_jobs, **search_kwargs)
+
+    def _batch_kernel(
+        self,
+        queries: np.ndarray,
+        k: int,
+        *,
+        candidate_fraction: Optional[float] = None,
+        max_candidates: Optional[int] = None,
+    ) -> List[SearchResult]:
+        """Answer a query block with the owning index's kernel, best-first.
+
+        The owning index's own normalization and budget resolution run
+        first, so a best-first search sees exactly the query and budget a
+        depth-first search does.
+        """
+        wall_tic = time.perf_counter()
+        index = self.index
+        matrix = index._prepare_query_matrix(queries)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        k = min(int(k), index.num_points)
+        budget = index._resolve_budget(candidate_fraction, max_candidates)
+        results = index._engine().block_kernel().search_block(
+            matrix, k, budget=budget, order="best_first"
         )
+        attach_block_timing(results, time.perf_counter() - wall_tic)
+        return results
 
 
 def best_first_search(

@@ -31,7 +31,7 @@ adds ``insert`` / ``delete`` / ``rebuild``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -66,6 +66,13 @@ class DynamicP2HIndex:
     Point identifiers are stable: every inserted point receives a
     monotonically increasing integer id, and search results report these ids
     (not positions inside the current static index).
+
+    ``search`` is :meth:`batch_search`'s kernel on a one-row block.  Exact
+    batches are bit-identical to sequential ``search`` for every
+    ``n_jobs``.  Fast batches (``exact=False``) follow the tree families'
+    fast contract: the static index's fast kernel sees the whole block, so
+    a row's answer may depend on its block-mates, and it stays within
+    :func:`repro.eval.epsilon_recall` 1.0 of the exact answer.
 
     Examples
     --------
@@ -202,57 +209,8 @@ class DynamicP2HIndex:
 
     def search(self, query: np.ndarray, k: int = 1, **search_kwargs) -> SearchResult:
         """Top-``k`` P2HNNS over all live points (static index + buffer)."""
-        if self.num_points == 0:
-            raise NotFittedError("the dynamic index contains no points")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
-        expected_dim = self.dim + 1
-        q = check_query_vector(query, expected_dim=expected_dim, name="query")
-        q = normalize_query(q)
-
-        stats = SearchStats()
-        collector = TopKCollector(k)
-        ids, distances = self._search_static(q, k, stats, search_kwargs)
-        for point_id, dist in zip(ids.tolist(), distances.tolist()):
-            collector.offer(point_id, dist)
-
-        # Insert buffer: exact scan of the live rows.
-        if self._buffer_ids.size:
-            live = self._buffer_live
-            distances = np.abs(self._buffer_rows[live] @ q)
-            collector.offer_batch(self._buffer_ids[live], distances)
-            stats.candidates_verified += int(distances.size)
-
-        return collector.to_result(stats)
-
-    def _search_static(self, q, k, stats, search_kwargs):
-        """Ids and distances of the static index's top-``k`` live points.
-
-        The first fetch asks for ``k + ceil(k * deleted / live) + 1`` (just
-        ``k`` while nothing is deleted); if fewer than ``min(k, live)`` of
-        its points are live, the fetch is repeated at ``k + deleted``,
-        which always holds that many.  ``stats`` accumulates every fetch.
-        """
-        size = int(self._static_ids.size)
-        live = size - self._static_dead
-        if live == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        full = min(size, k + self._static_dead)
-        fetch = full
-        if self._static_dead:
-            margin = (k * self._static_dead + live - 1) // live + 1
-            fetch = min(full, k + margin)
-        while True:
-            result = self._static_index.search(q, k=fetch, **search_kwargs)
-            stats.merge(result.stats)
-            keep = self._static_live[result.indices]
-            if fetch == full or np.count_nonzero(keep) >= min(k, live):
-                return (
-                    self._static_ids[result.indices[keep]],
-                    result.distances[keep],
-                )
-            fetch = full
+        q = check_query_vector(query, name="query")
+        return self._batch_kernel(q[None, :], k, **search_kwargs)[0]
 
     def batch_search(
         self,
@@ -266,12 +224,98 @@ class DynamicP2HIndex:
         """Run :meth:`search` for every row of ``queries``.
 
         Dispatched through :func:`repro.engine.batch.execute_batch`, so
-        results are bit-identical to sequential per-query calls for every
-        ``n_jobs``.
+        exact results are bit-identical to sequential per-query calls for
+        every ``n_jobs`` (see the class notes for ``exact=False``).
         """
         return execute_batch(
             self, queries, k, n_jobs=n_jobs, executor=executor, **search_kwargs
         )
+
+    def _batch_kernel(
+        self, queries: np.ndarray, k: int, **search_kwargs
+    ) -> List[SearchResult]:
+        """Answer a query block: the static index's kernel plus the buffer.
+
+        The static index answers the whole block in one kernel call at
+        the margin fetch size (:meth:`_search_static`).  Every row then
+        scores the live buffer rows, gathered once per block, with its own
+        GEMV — the same product a one-row search computes, so each row's
+        answer does not depend on its block-mates.
+        """
+        if self.num_points == 0:
+            raise NotFittedError("the dynamic index contains no points")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        k = min(int(k), self.num_points)
+        if queries.shape[1] != self.dim + 1:
+            raise ValueError(
+                f"query must have dimension {self.dim + 1}, "
+                f"got {queries.shape[1]}"
+            )
+        matrix = np.vstack([normalize_query(row) for row in queries])
+        stats = [SearchStats() for _ in range(matrix.shape[0])]
+        collectors = [TopKCollector(k) for _ in range(matrix.shape[0])]
+        for collector, (ids, distances) in zip(
+            collectors, self._search_static(matrix, k, stats, search_kwargs)
+        ):
+            for point_id, dist in zip(ids.tolist(), distances.tolist()):
+                collector.offer(point_id, dist)
+
+        # Insert buffer: exact scan of the live rows.
+        if self._buffer_ids.size:
+            live = self._buffer_live
+            rows = self._buffer_rows[live]
+            ids = self._buffer_ids[live]
+            for q, collector, row_stats in zip(matrix, collectors, stats):
+                distances = np.abs(rows @ q)
+                collector.offer_batch(ids, distances)
+                row_stats.candidates_verified += int(distances.size)
+
+        return [
+            collector.to_result(row_stats)
+            for collector, row_stats in zip(collectors, stats)
+        ]
+
+    def _search_static(self, matrix, k, stats, search_kwargs):
+        """Per row, ids and distances of the static index's top-``k`` live points.
+
+        The first fetch asks for ``k + ceil(k * deleted / live) + 1`` (just
+        ``k`` while nothing is deleted) for the whole block; the rows with
+        fewer than ``min(k, live)`` live points among theirs are fetched
+        again, in one more kernel call, at ``k + deleted``, which always
+        holds that many.  ``stats`` (one per row) accumulates every fetch.
+        """
+        size = int(self._static_ids.size)
+        live = size - self._static_dead
+        if live == 0:
+            empty = (np.empty(0, dtype=np.int64), np.empty(0))
+            return [empty] * matrix.shape[0]
+        full = min(size, k + self._static_dead)
+        fetch = full
+        if self._static_dead:
+            margin = (k * self._static_dead + live - 1) // live + 1
+            fetch = min(full, k + margin)
+        kernel = self._static_index._batch_kernel
+        results = kernel(matrix, fetch, **search_kwargs)
+        if fetch < full:
+            short = [
+                row for row, result in enumerate(results)
+                if np.count_nonzero(self._static_live[result.indices])
+                < min(k, live)
+            ]
+            if short:
+                refetched = kernel(matrix[short], full, **search_kwargs)
+                for row, result in zip(short, refetched):
+                    stats[row].merge(results[row].stats)
+                    results[row] = result
+        answers = []
+        for row_stats, result in zip(stats, results):
+            row_stats.merge(result.stats)
+            keep = self._static_live[result.indices]
+            answers.append(
+                (self._static_ids[result.indices[keep]], result.distances[keep])
+            )
+        return answers
 
     def rebuild(self) -> None:
         """Fold the buffer and purge tombstones into a freshly built index."""

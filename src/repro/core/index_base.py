@@ -1,7 +1,7 @@
 """Common interface shared by every P2HNNS index in the library.
 
-All indexes — Ball-Tree, BC-Tree, KD-Tree, the linear scan, and the NH/FH
-hashing baselines — implement the same small contract:
+All indexes — Ball-Tree, BC-Tree, KD-Tree, RP-Tree, the linear scan, and
+the NH/FH hashing baselines — implement the same small contract:
 
 * ``fit(points)`` builds the index over augmented points ``x = (p; 1)``.
 * ``search(query, k, ...)`` returns a :class:`~repro.core.results.SearchResult`
@@ -16,12 +16,19 @@ hashing baselines — implement the same small contract:
   (Table III's "Size" column).
 * ``save(path)`` / ``load(path)`` persist the fitted index.
 
-The base class also owns the augmented data matrix, dimension checks,
-indexing-time bookkeeping, and the cached
-:class:`~repro.engine.traversal.TraversalEngine` for tree indexes, so
-concrete indexes only implement ``_build`` and ``_search_one`` (tree
-indexes: ``_make_engine`` and ``_block_search``, see
-:class:`LeafStoredPointsMixin`).
+Batched search has one entry point, :meth:`P2HIndex._batch_kernel`: it
+normalizes a query block, checks ``k`` and answers the block with
+``_block_search(matrix, k, **options)``.  The default ``_block_search``
+runs ``_search_one`` once per row (the linear scan); the tree families
+override it with the block traversal kernel and the hashing baselines
+with their sub-block probe loop.
+
+``search`` is the same kernel on a one-row block.  The base class also
+owns the augmented data matrix, dimension checks, indexing-time
+bookkeeping, and the cached :class:`~repro.engine.traversal.TraversalEngine`
+for tree indexes, so concrete indexes only implement ``_build`` and
+``_search_one`` (tree indexes: ``_make_engine`` and ``_block_search``, see
+:class:`LeafStoredPointsMixin`; hashing indexes: ``_candidates_batch``).
 """
 
 from __future__ import annotations
@@ -135,18 +142,13 @@ class P2HIndex:
         kwargs:
             Index-specific search options (e.g. ``candidate_fraction`` for
             the trees, ``max_candidates`` for the hashing baselines).
+
+        The query is answered by :meth:`_batch_kernel` as a one-row block,
+        so it runs exactly the code :meth:`batch_search` runs per row.
         """
         self._check_fitted()
         q = check_query_vector(query, expected_dim=self.dim, name="query")
-        if self.normalize_queries:
-            q = normalize_query(q)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
-        with Timer() as timer:
-            result = self._search_one(q, k, **kwargs)
-        result.stats.elapsed_seconds = timer.elapsed
-        return result
+        return self._batch_kernel(q[None, :], k, **kwargs)[0]
 
     def batch_search(
         self,
@@ -181,13 +183,11 @@ class P2HIndex:
 
         Notes
         -----
-        Indexes that expose a vectorized ``_batch_kernel`` (the tree
-        families and the hashing baselines) are answered in whole-block
-        kernel calls instead of per-query dispatch; the engine chunks the
-        block across the worker pool, and results stay bit-identical for
-        every ``n_jobs`` because the kernels are per-row independent and
-        ``search`` runs the same kernel on one row (the tree kernel runs
-        each row's descent alone).
+        The engine chunks the block across the worker pool and answers
+        each chunk with one :meth:`_batch_kernel` call; results stay
+        bit-identical for every ``n_jobs`` because every kernel step is
+        per-row independent and ``search`` runs the same per-row code
+        (the tree kernel runs each row's descent alone).
         """
         return execute_batch(
             self, queries, k, n_jobs=n_jobs, executor=executor, **kwargs
@@ -235,18 +235,38 @@ class P2HIndex:
 
     # --------------------------------------------------------------- helpers
 
-    def _prepare_query_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Normalize a pre-validated query block exactly as :meth:`search` does.
+    def _batch_kernel(
+        self, queries: np.ndarray, k: int, **options
+    ) -> List[SearchResult]:
+        """Answer a whole query block; the engine's one batched entry point.
 
-        Vectorized batch kernels (indexes exposing ``_batch_kernel``; see
-        :func:`repro.engine.batch.execute_batch`) run whole query blocks
-        without going through :meth:`search`.  The engine has already
-        promoted and finiteness-checked the block with
-        :func:`~repro.utils.validation.check_query_matrix` (validating
-        again here would re-scan the whole matrix per chunk), so only the
-        index-specific dimension check remains, and normalization runs the
-        same per-row kernel :meth:`search` uses — keeping blocked execution
-        bit-identical to sequential calls.
+        ``queries`` is a chunk of the matrix
+        :func:`repro.engine.batch.execute_batch` already validated.  The
+        block is normalized as :meth:`search` normalizes one query, ``k``
+        is checked and clamped, and :meth:`_block_search` answers it.
+        """
+        wall_tic = time.perf_counter()
+        matrix = self._prepare_query_matrix(queries)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        k = min(int(k), self.num_points)
+        results = self._block_search(matrix, k, **options)
+        attach_block_timing(results, time.perf_counter() - wall_tic)
+        return results
+
+    def _block_search(
+        self, matrix: np.ndarray, k: int, **options
+    ) -> List[SearchResult]:
+        """Answer an already-normalized block: ``_search_one`` per row."""
+        return [self._search_one(row, k, **options) for row in matrix]
+
+    def _prepare_query_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Check and normalize a pre-validated query block, row by row.
+
+        The engine (or :meth:`search`, for its one row) has already
+        promoted and finiteness-checked the block, so only the
+        index-specific dimension check remains.  Each row is normalized
+        on its own, so its bits do not depend on the block it is in.
         """
         self._check_fitted()
         if matrix.shape[1] != self.dim:
@@ -382,7 +402,8 @@ class P2HIndex:
         raise NotImplementedError
 
     def _search_one(self, query: np.ndarray, k: int, **kwargs) -> SearchResult:
-        """Answer a single normalized query."""
+        """Answer a single normalized query (the default ``_block_search``
+        calls it once per row; block-kernel families never do)."""
         raise NotImplementedError
 
     def _make_engine(self):
@@ -452,24 +473,6 @@ class LeafStoredPointsMixin:
         from repro.core.chunked import chunked_fit
 
         return chunked_fit(self, points, memory_budget_mb=memory_budget_mb)
-
-    def _search_one(self, query: np.ndarray, k: int, **options) -> SearchResult:
-        """Branch-and-bound top-k search: the block kernel on one row."""
-        return self._block_search(query[None, :], k, **options)[0]
-
-    def _batch_kernel(
-        self, queries: np.ndarray, k: int, **options
-    ) -> List[SearchResult]:
-        """Answer a whole query block with the kernel :meth:`_search_one`
-        runs, so results and work counters equal sequential ``search``."""
-        wall_tic = time.perf_counter()
-        matrix = self._prepare_query_matrix(queries)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
-        results = self._block_search(matrix, k, **options)
-        attach_block_timing(results, time.perf_counter() - wall_tic)
-        return results
 
     def _adopt_legacy_arrays(self, store) -> None:
         if self._points is not None:

@@ -4,23 +4,19 @@ The paper calls this "a trivial solution ... computationally prohibitive";
 it is nevertheless indispensable both as a correctness oracle for every
 other index and as the recall denominator in the evaluation harness.
 
-Batched queries have a fully vectorized path: one ``|P @ Q.T|`` matmul for
-the whole batch plus a vectorized per-column top-k selection (see
-:meth:`LinearScan.batch_search`).
+Batched queries run :class:`~repro.core.index_base.P2HIndex`'s default
+kernel: one ``|P @ q|`` GEMV per row, the same code :meth:`search` runs,
+so batches are bit-identical to sequential search.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.distances import normalize_query
 from repro.core.index_base import P2HIndex
 from repro.core.results import SearchResult, SearchStats
-from repro.engine.batch import BatchSearchResult, pool_results
-from repro.utils.validation import check_query_vector
 
 
 class LinearScan(P2HIndex):
@@ -56,94 +52,6 @@ class LinearScan(P2HIndex):
             distances=distances[order],
             stats=stats,
         )
-
-    #: Thread-executor Searcher sessions route through this override so the
-    #: batch-level-only ``vectorized`` flag keeps working under a session.
-    _session_native_batch = True
-
-    def batch_search(
-        self,
-        queries: np.ndarray,
-        k: int = 1,
-        *,
-        n_jobs: Optional[int] = None,
-        executor: str = "thread",
-        vectorized: bool = False,
-        **kwargs,
-    ) -> BatchSearchResult:
-        """Answer every row of ``queries``.
-
-        Parameters
-        ----------
-        vectorized:
-            When False (default) every query runs the exact per-query code
-            path of :meth:`search` (dispatched through the engine's worker
-            pool), so results are bit-identical to sequential search.  When
-            True, the whole batch is answered with a single
-            ``|points @ Q.T|`` matmul followed by a vectorized per-column
-            top-k selection — substantially faster for large batches, but
-            the BLAS GEMM kernel may differ from the per-query GEMV in the
-            last ulp, so distances are only equal to sequential search up
-            to floating-point rounding.
-        n_jobs, executor, kwargs:
-            See :meth:`P2HIndex.batch_search`; ignored by the vectorized
-            path (which is a single BLAS call).
-        """
-        if not vectorized:
-            return super().batch_search(
-                queries, k, n_jobs=n_jobs, executor=executor, **kwargs
-            )
-        if kwargs:
-            unexpected = ", ".join(sorted(kwargs))
-            raise TypeError(f"LinearScan.search got unexpected options: {unexpected}")
-        self._check_fitted()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
-
-        wall_tic = time.perf_counter()
-        cpu_tic = time.process_time()
-        matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        rows = [
-            check_query_vector(row, expected_dim=self.dim, name="query")
-            for row in matrix
-        ]
-        if self.normalize_queries:
-            rows = [normalize_query(row) for row in rows]
-        normalized = (
-            np.vstack(rows) if rows else np.empty((0, self.dim), dtype=np.float64)
-        )
-
-        results = []
-        if normalized.shape[0]:
-            # One GEMM for the whole batch: scores[i, j] = |<p_i, q_j>|.
-            scores = np.abs(self._points @ normalized.T)
-            if k < scores.shape[0]:
-                top = np.argpartition(scores, k - 1, axis=0)[:k]
-            else:
-                top = np.broadcast_to(
-                    np.arange(scores.shape[0])[:, None], scores.shape
-                )
-            for column in range(scores.shape[1]):
-                candidates = top[:, column]
-                column_scores = scores[candidates, column]
-                order = np.argsort(column_scores, kind="stable")
-                results.append(
-                    SearchResult(
-                        indices=candidates[order].astype(np.int64),
-                        distances=column_scores[order],
-                        stats=SearchStats(candidates_verified=self.num_points),
-                    )
-                )
-        wall = time.perf_counter() - wall_tic
-        cpu = time.process_time() - cpu_tic
-        if results:
-            # The matmul answers all queries at once; attribute the wall
-            # time evenly so per-query timings stay meaningful.
-            share = wall / len(results)
-            for result in results:
-                result.stats.elapsed_seconds = share
-        return pool_results(results, wall_seconds=wall, cpu_seconds=cpu, n_jobs=1)
 
 
 def _top_k_ascending(distances: np.ndarray, k: int) -> np.ndarray:

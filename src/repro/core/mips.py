@@ -171,10 +171,6 @@ class BallTreeMIPS:
         """Top-``k`` points maximizing ``|<x, q>|`` (P2H furthest neighbors)."""
         return self._search(query, k, absolute=True)
 
-    #: Thread-executor Searcher sessions route through this override so the
-    #: batch-level-only ``absolute`` flag keeps working under a session.
-    _session_native_batch = True
-
     def batch_search(
         self,
         queries: np.ndarray,
@@ -188,15 +184,18 @@ class BallTreeMIPS:
 
         Dispatched through :func:`repro.engine.batch.execute_batch`, so
         results are bit-identical to sequential per-query calls for every
-        ``n_jobs``.  Only the thread executor is supported (the MIPS modes
-        dispatch through a ``search_fn`` closure, which the process
-        executor rejects).
+        ``n_jobs`` and both executors.
         """
-        search = self.search_absolute if absolute else self.search
         return execute_batch(
             self, queries, k, n_jobs=n_jobs, executor=executor,
-            search_fn=lambda q: search(q, k=k),
+            absolute=absolute,
         )
+
+    def _batch_kernel(
+        self, queries: np.ndarray, k: int, *, absolute: bool = False
+    ) -> List[SearchResult]:
+        """The engine's batched entry point: :meth:`_search` per row."""
+        return [self._search(row, k, absolute=absolute) for row in queries]
 
     def index_size_bytes(self) -> int:
         """Memory footprint of the tree arrays in bytes."""

@@ -28,7 +28,6 @@ an approximate index whose recall/time trade-off is measured by
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.core.factories import DefaultBCTreeFactory
 from repro.core.index_base import NotFittedError, P2HIndex
 from repro.core.results import SearchResult, SearchStats, TopKCollector
 from repro.core.splits import seed_grow_split
-from repro.engine.batch import BatchSearchResult, pool_results
+from repro.engine.batch import BatchSearchResult, execute_batch, pool_results
 from repro.storage import combined_storage_header
 from repro.utils.persistence import dump_index_payload, load_typed_index
 from repro.utils.rng import ensure_rng
@@ -45,19 +44,6 @@ from repro.utils.timing import Timer
 from repro.utils.validation import check_points_matrix, check_positive_int
 
 PARTITION_STRATEGIES = ("contiguous", "round_robin", "ball")
-
-
-def effective_pool_size(shard_batches: Sequence[BatchSearchResult]) -> int:
-    """Worker-pool size a sharded batch actually ran with.
-
-    Each shard reports the pool its own ``batch_search`` used; normally the
-    values agree (same request, same CPU cap), but a custom sub-index may
-    cap differently, so the batch-level number is the *largest* pool any
-    shard ran with — the peak parallelism of the call.  Defaults to 1 when
-    there are no shard batches at all (previously this indexed
-    ``shard_batches[0]`` unconditionally).
-    """
-    return max((batch.n_jobs for batch in shard_batches), default=1)
 
 
 def merge_shard_row(
@@ -97,7 +83,7 @@ def merge_shard_batches(
     offering each shard's row to a :class:`TopKCollector` in shard order.
     Exposed at module level so the distributed scatter-gather router
     (:mod:`repro.cluster`) merges gathered shard responses with the exact
-    computation :meth:`PartitionedP2HIndex.batch_search` runs in process.
+    computation :meth:`PartitionedP2HIndex._batch_kernel` runs in process.
 
     Replaces the per-row ``TopKCollector``-over-all-shards loop (which
     dominated wall time for large batches with many shards) with block
@@ -280,14 +266,6 @@ class PartitionedP2HIndex:
     10
     """
 
-    #: Tells thread-executor Searcher sessions to route through this
-    #: class's own ``batch_search`` (per-shard engine batches + the
-    #: vectorized block merge) instead of generic per-query dispatch —
-    #: the generic path would re-serialize the merge loop this class
-    #: vectorized.  Process sessions keep the session pool: per-call
-    #: per-shard process pools are exactly the spawn cost they amortize.
-    _session_native_batch = True
-
     def __init__(
         self,
         num_partitions: int = 4,
@@ -365,62 +343,42 @@ class PartitionedP2HIndex:
         executor: str = "thread",
         **search_kwargs,
     ) -> BatchSearchResult:
-        """Answer every row of ``queries``, fanning the batch out per shard.
+        """Answer every row of ``queries`` through the execution engine.
 
-        Each shard answers the *whole* batch through its own engine-backed
-        ``batch_search`` (with the shard's worker pool), and the per-shard
-        top-k lists are then merged per query with one vectorized block
-        merge (a stable sort over the shard-concatenated rows — the same
-        selection the per-query collector makes, with a per-row collector
-        fallback for ties at the top-k boundary), so the results are
-        bit-identical to sequential per-query search for every ``n_jobs``.
+        Dispatched through :func:`repro.engine.batch.execute_batch`, so
+        the results are bit-identical to sequential per-query search for
+        every ``n_jobs`` (see :meth:`_batch_kernel`).
+        """
+        return execute_batch(
+            self, queries, k, n_jobs=n_jobs, executor=executor, **search_kwargs
+        )
+
+    def _batch_kernel(
+        self, queries: np.ndarray, k: int, **search_kwargs
+    ) -> List[SearchResult]:
+        """Answer a query block: every shard's kernel, then one block merge.
+
+        Each shard answers the whole block with its own kernel, and the
+        per-shard top-k lists are merged per query by
+        :func:`merge_shard_batches` (a stable sort over the
+        shard-concatenated rows — the same selection the per-query
+        collector in :meth:`search` makes, with a per-row collector
+        fallback for ties at the top-k boundary).
         """
         self._check_fitted()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(int(k), self.num_points)
-        matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-
-        wall_tic = time.perf_counter()
-        cpu_tic = time.process_time()
         shard_batches = []
         for sub_index, ids in zip(self.shards, self.shard_point_ids):
-            shard_k = min(k, int(ids.size))
-            shard_batches.append(
-                sub_index.batch_search(
-                    matrix,
-                    k=shard_k,
-                    n_jobs=n_jobs,
-                    executor=executor,
-                    **search_kwargs,
-                )
+            rows = sub_index._batch_kernel(
+                queries, min(k, int(ids.size)), **search_kwargs
             )
-        results = self._merge_shard_batches(shard_batches, k, matrix.shape[0])
-        wall = time.perf_counter() - wall_tic
-        cpu = time.process_time() - cpu_tic
-        return pool_results(
-            results,
-            wall_seconds=wall,
-            cpu_seconds=cpu,
-            # Report the pool size the shards actually ran with (the
-            # request is capped at the machine's CPU count downstream).
-            n_jobs=effective_pool_size(shard_batches),
-        )
-
-    def _merge_shard_batches(
-        self,
-        shard_batches: List[BatchSearchResult],
-        k: int,
-        num_queries: int,
-    ) -> List[SearchResult]:
-        """Delegate to the module-level :func:`merge_shard_batches`.
-
-        Kept as a method so the class reads top-to-bottom; the body lives
-        at module level because the scatter-gather router must run the
-        *same* merge over gathered shard responses.
-        """
+            shard_batches.append(
+                pool_results(rows, wall_seconds=0.0, cpu_seconds=0.0)
+            )
         return merge_shard_batches(
-            shard_batches, self.shard_point_ids, k, num_queries
+            shard_batches, self.shard_point_ids, k, queries.shape[0]
         )
 
     # ------------------------------------------------------------ persistence

@@ -15,8 +15,8 @@ This subpackage owns *how* queries are answered; the index classes under
   (including the ``exact=False`` fast tier, :mod:`repro.engine.fast`).
 * :mod:`repro.engine.batch` — :func:`execute_batch` and
   :class:`BatchSearchResult`, the batched path behind every index's
-  ``batch_search`` (vectorized schedule seeding, block/hashing kernel
-  dispatch, thread/process worker pools, pooled statistics, bit-identical
+  ``batch_search`` (contiguous chunks, one ``_batch_kernel`` call per
+  chunk on thread/process worker pools, pooled statistics, bit-identical
   to sequential ``search``).
 * :mod:`repro.engine.budget` — :func:`resolve_budget`, the one translation
   of the approximate-search knobs into a candidate budget.

@@ -2,57 +2,47 @@
 
 :func:`execute_batch` is the single batched path every index's
 ``batch_search`` routes through.  It validates the query matrix once,
-dispatches it one of two ways, and aggregates the per-query results into a
-:class:`BatchSearchResult` (a sequence of per-query
+splits it into contiguous chunks, answers each chunk with one call to the
+index's ``_batch_kernel(queries, k, **options)`` — inline, on a thread
+pool or on a process pool — and pools the per-query results into a
+:class:`BatchSearchResult` (per-query
 :class:`~repro.core.results.SearchResult` plus pooled
 :class:`~repro.core.results.SearchStats` and wall/CPU timing).
 
-* **Kernel dispatch.**  An index exposing a vectorized ``_batch_kernel`` —
-  a method answering a whole query block in one call — gets one contiguous
-  chunk of the query matrix per worker, and its sequential ``search`` runs
-  the same kernel on a one-row block.  Two kernel families exist: the tree
-  indexes (Ball-Tree, BC-Tree, RP-Tree, KD-Tree) run one descent per row
-  of the chunk through the block traversal kernel
-  (:mod:`repro.engine.block`), and the hashing baselines
-  (:mod:`repro.hashing.base`) probe and verify whole blocks with batched
-  table lookups.  Every option these indexes accept goes to the kernel —
-  candidate budgets, ``profile=True``, BC-Tree's sequential scan, and
-  ``exact=False`` (the fast tier, :mod:`repro.engine.fast`) included — and
-  an unknown option raises ``TypeError`` from it, as from ``search``.
-* **Per-query dispatch.**  Every other index (the linear scan, MIPS, the
-  dynamic composite) and any caller-supplied ``search_fn`` (such as
-  :class:`~repro.core.best_first.BestFirstSearcher`'s) pool per-query
-  ``search`` calls, scheduled hardest-first from one ``centers[:m] @ Q.T``
-  seed matmul on tree indexes.
-
-:func:`kernel_dispatch_path` reports which path (and, for ``exact=False``
-on a tree index, the fast GEMM kernel) a configuration takes.
+Every index exposes that kernel, and its ``search`` runs the same kernel
+on a one-row block.  The tree indexes run one descent per row through the
+block traversal kernel (:mod:`repro.engine.block`; best-first for
+:class:`~repro.core.best_first.BestFirstSearcher`), the hashing baselines
+probe and verify sub-blocks (:mod:`repro.hashing.base`), the linear scan
+and MIPS answer row by row, and the composites run their sub-indexes'
+kernels on the block (the dynamic index adds its insert buffer, the
+partitioned index merges its shards).  Every option goes to the kernel —
+budgets, ``profile=True``, BC-Tree's sequential scan and ``exact=False``
+(the fast tier, :mod:`repro.engine.fast`) included — and an unknown one
+raises ``TypeError`` there, as from ``search``.  :func:`kernel_dispatch_path`
+says whether a configuration takes the exact kernel or the fast GEMM one.
 
 Determinism contract
 --------------------
 ``batch_search`` returns **bit-identical** indices and distances to calling
 ``search`` once per query, for every index and every ``n_jobs`` — including
-under ``candidate_fraction`` / ``max_candidates`` budgets.  For per-query
-dispatch this holds because each worker runs exactly ``search``; for
-kernel dispatch it holds because ``search`` runs the same kernel with a
-block of one query, and every kernel step is per-row independent.  Worker
-purity — a dispatched task callable never mutates ``self`` or globals
-(pool ``initializer=`` excepted: planting per-process state is its job) —
-is enforced statically by ``repro check`` rule REP301.
+under ``candidate_fraction`` / ``max_candidates`` budgets — because
+``search`` runs the same kernel with a block of one query and every exact
+kernel step is per-row independent.  Worker purity — a dispatched task
+callable never mutates ``self`` or globals (pool ``initializer=``
+excepted: planting per-process state is its job) — is enforced statically
+by ``repro check`` rule REP301.
 
-The batch-level seed matmul deliberately does *not* feed inner products
-into traversal: BLAS GEMM results are not bit-reproducible against the
-GEMV/dot kernels the traversal uses (measured on this build of OpenBLAS:
-``(C @ Q.T)[:, j]`` differs from ``C @ Q[j]`` in the last ulp, and is not
-even independent of the batch size).  An ulp-perturbed inner product can
-flip a branch-preference comparison or a bound-vs-threshold test, which
-under a candidate budget changes *which* candidates are verified —
-silently breaking the parity guarantee.  The seed matmul is therefore used
-where it cannot perturb results: estimating per-query difficulty (how weak
-the upper-level bounds are) so that hard queries are spread evenly across
-workers.  The batch kernels obey the same rule: any quantity that feeds
-candidate selection (query-table projections, hash codes) is computed with
-the per-query GEMV kernel, never a whole-block GEMM.
+No batch-level GEMM feeds an exact kernel: BLAS GEMM results are not
+bit-reproducible against the GEMV/dot kernels a one-row search uses (on
+OpenBLAS, ``(C @ Q.T)[:, j]`` differs from ``C @ Q[j]`` in the last ulp,
+and depends on the batch size).  An ulp-perturbed inner product can flip a
+branch-preference comparison or a bound-vs-threshold test, which under a
+candidate budget changes *which* candidates are verified.  So every
+quantity that feeds candidate selection or a reported distance (node inner
+products, leaf and buffer distances, query-table projections, hash codes)
+comes from the per-query GEMV kernel.  Only the ``exact=False`` fast tier
+gives that up, on request.
 """
 
 from __future__ import annotations
@@ -61,7 +51,7 @@ import contextlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -69,9 +59,6 @@ from repro.core.results import SearchResult, SearchStats
 from repro.utils.validation import check_positive_int, check_query_matrix
 
 EXECUTORS = ("thread", "process")
-
-#: Number of upper-level nodes whose inner products seed the batch schedule.
-SEED_NODES = 64
 
 
 class BatchSearchResult(Sequence):
@@ -177,24 +164,36 @@ def pool_results(
 
 
 def kernel_dispatch_path(index, **search_kwargs) -> str:
-    """Which execution path :func:`execute_batch` will take.
+    """Which kernel :func:`execute_batch` will run for these options.
 
-    Returns ``"per-query"`` when the index has no vectorized batch kernel
-    (scheduled per-query dispatch), ``"fast-gemm"`` when the options
-    select the approximate fast-mode kernel (``exact=False`` on a tree
-    index — float32 storage plus cross-query GEMM,
-    :mod:`repro.engine.fast`), and ``"kernel"`` for every other
-    vectorized batch kernel (the exact block traversal kernel and the
-    hashing baselines' block kernels).
+    Returns ``"fast-gemm"`` when the options select the approximate
+    fast-mode kernel (``exact=False`` on a tree index — float32 storage
+    plus cross-query GEMM, :mod:`repro.engine.fast`), and ``"kernel"``
+    for every other configuration (the exact block traversal kernel, the
+    hashing baselines' block kernels and the per-row default kernel).
+    Raises ``TypeError`` for an object without a batch kernel, as
+    :func:`execute_batch` does.
     """
-    if getattr(index, "_batch_kernel", None) is None:
-        return "per-query"
+    _batch_kernel_of(index)
     if (
         not search_kwargs.get("exact", True)
         and getattr(index, "tree", None) is not None
     ):
         return "fast-gemm"
     return "kernel"
+
+
+def _batch_kernel_of(index):
+    """The index's ``_batch_kernel``, or a ``TypeError`` saying how to get one."""
+    kernel = getattr(index, "_batch_kernel", None)
+    if kernel is None:
+        raise TypeError(
+            f"{type(index).__name__} has no _batch_kernel(queries, k, "
+            "**options), the one entry point batched search calls; "
+            "subclass repro.core.index_base.P2HIndex, whose default kernel "
+            "answers each row with the family's _search_one"
+        )
+    return kernel
 
 
 def execute_batch(
@@ -204,36 +203,32 @@ def execute_batch(
     *,
     n_jobs: Optional[int] = None,
     executor: str = "thread",
-    search_fn: Optional[Callable[[np.ndarray], SearchResult]] = None,
     pool=None,
     **search_kwargs,
 ) -> BatchSearchResult:
-    """Run ``index.search`` for every row of ``queries``.
+    """Answer every row of ``queries`` with ``index._batch_kernel``.
 
     Parameters
     ----------
     index:
-        Any object exposing ``search(query, k=..., **kwargs)`` — every
-        index in the library qualifies.
+        Any object exposing ``_batch_kernel(queries, k, **options)`` —
+        every index in the library qualifies (see the module docstring).
+        Anything else raises ``TypeError``.
     queries:
         Query matrix of shape ``(q, d)`` (a single vector is promoted).
     k:
-        Top-k size forwarded to every search.
+        Top-k size forwarded to every kernel call.
     n_jobs:
         Worker-pool size; ``None`` or 1 runs inline without a pool.  The
         effective pool is capped at the machine's CPU count — search is
         CPU-bound, so surplus workers only add GIL and scheduler overhead
-        (results are identical either way).
+        (results are identical either way).  Each worker answers one
+        contiguous chunk of the query matrix with one kernel call.
     executor:
         ``"thread"`` (default) or ``"process"``.  The process executor
         forks workers that inherit the fitted index and is the right
         choice when search is interpreter-bound and several cores are
-        available; it requires ``search_fn`` to be None.
-    search_fn:
-        Optional replacement for ``index.search`` (e.g. a best-first
-        searcher or MIPS mode); called as ``search_fn(query)`` and expected
-        to honor ``k``/``search_kwargs`` itself via closure.  Supplying it
-        disables the vectorized-kernel dispatch.
+        available.
     pool:
         Optional already-running executor to dispatch on instead of
         spawning (and tearing down) a fresh one per call — the mechanism
@@ -244,94 +239,17 @@ def execute_batch(
         the options ride along with each task, so results and stats are
         bit-identical to the per-call pool path.
     search_kwargs:
-        Extra options forwarded to every ``index.search`` call (or to every
-        kernel call when the index exposes ``_batch_kernel``).
+        Extra options forwarded to every kernel call.
     """
+    kernel = _batch_kernel_of(index)
     if executor not in EXECUTORS:
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
         )
     n_jobs = 1 if n_jobs is None else check_positive_int(n_jobs, name="n_jobs")
     workers = min(n_jobs, os.cpu_count() or 1)
-    kernel = None if search_fn is not None else getattr(
-        index, "_batch_kernel", None
-    )
-    # The finiteness scan runs once here for the kernel path (kernels trust
-    # the engine's validation); per-query dispatch re-validates every row
-    # inside index.search, so scanning the matrix as well would be wasted.
-    matrix = check_query_matrix(queries, check_finite=kernel is not None)
-    num_queries = matrix.shape[0]
-    if kernel is not None:
-        return _execute_kernel_batch(
-            index, kernel, matrix, k, workers, executor, search_kwargs,
-            pool=pool,
-        )
-    if search_fn is None:
-        def search_fn(query):
-            return index.search(query, k=k, **search_kwargs)
-    elif executor == "process":
-        raise ValueError("the process executor does not support search_fn")
-
-    wall_tic = time.perf_counter()
-    cpu_tic = time.process_time()
-    if num_queries == 0:
-        results: List[SearchResult] = []
-    elif workers == 1 or num_queries == 1:
-        results = [search_fn(query) for query in matrix]
-    else:
-        _warm_engine(index)
-        order = _difficulty_order(index, matrix)
-        # Round-robin over the difficulty ranking so every worker gets an
-        # even mix of hard and easy queries.
-        chunks = [order[offset::workers] for offset in range(workers)]
-        chunks = [chunk for chunk in chunks if chunk.size]
-        with _worker_pool(pool, executor, len(chunks), index) as running:
-            if executor == "thread":
-                def run_chunk(chunk):
-                    return [
-                        (int(pos), search_fn(matrix[pos])) for pos in chunk
-                    ]
-
-                pair_lists = list(running.map(run_chunk, chunks))
-            else:
-                pair_lists = list(running.map(
-                    _process_worker_run_opts,
-                    [
-                        (matrix[chunk], chunk.tolist(), k, search_kwargs)
-                        for chunk in chunks
-                    ],
-                ))
-        results = [None] * num_queries
-        for pairs in pair_lists:
-            for pos, result in pairs:
-                results[pos] = result
-    wall = time.perf_counter() - wall_tic
-    cpu = time.process_time() - cpu_tic
-    return pool_results(
-        results, wall_seconds=wall, cpu_seconds=cpu, n_jobs=workers
-    )
-
-
-def _execute_kernel_batch(
-    index,
-    kernel: Callable,
-    matrix: np.ndarray,
-    k: int,
-    workers: int,
-    executor: str,
-    search_kwargs: dict,
-    *,
-    pool=None,
-) -> BatchSearchResult:
-    """Dispatch a vectorized ``_batch_kernel`` over contiguous query chunks.
-
-    Each worker answers one contiguous slice of the query matrix with a
-    single kernel call; the kernel's per-row independence guarantees the
-    reassembled results equal a single whole-batch call (and sequential
-    ``search``, which runs the same kernel on blocks of one).  When
-    ``pool`` is given, the chunks are dispatched on that long-lived
-    executor instead of a per-call one (see :func:`execute_batch`).
-    """
+    # The one validation pass: kernels trust the block they are given.
+    matrix = check_query_matrix(queries)
     num_queries = matrix.shape[0]
     wall_tic = time.perf_counter()
     cpu_tic = time.process_time()
@@ -340,8 +258,8 @@ def _execute_kernel_batch(
     elif workers == 1 or num_queries == 1:
         results = kernel(matrix, k, **search_kwargs)
     else:
-        # Same guard as the per-query path: racing worker threads through a
-        # fresh index's first engine build would construct duplicates.
+        # Racing worker threads through a fresh index's first engine build
+        # would construct duplicates.
         _warm_engine(index)
         chunks = [
             chunk for chunk in np.array_split(matrix, workers) if chunk.shape[0]
@@ -394,10 +312,12 @@ def _warm_engine(index) -> None:
 
     The engine cache is populated without synchronization; racing worker
     threads through the first build would construct (and briefly hold) up
-    to ``n_jobs`` duplicate engines, each with its own copy of the
-    leaf-ordered point matrix.  Building it once up front keeps the first
-    parallel batch on a fresh index cheap.  Results are unaffected either
-    way.
+    to ``n_jobs`` duplicate engines, each with its own per-node lists and
+    leaf structures (the point matrix itself is the store's array, shared).
+    Building it once up front keeps the first parallel batch on a fresh
+    index cheap.  Only indexes that have ``_engine`` are warmed; a
+    composite's sub-index engines are built by the first worker that needs
+    them.  Results are unaffected either way.
     """
     builder = getattr(index, "_engine", None)
     if builder is None:
@@ -409,54 +329,6 @@ def _warm_engine(index) -> None:
         pass
 
 
-def _upper_level_nodes(tree, limit: int) -> np.ndarray:
-    """Ids of the root and upper tree levels (breadth-first, up to ``limit``).
-
-    Node ids are assigned in depth-first pre-order at build time, so a
-    plain id prefix would cover the leftmost subtree rather than the top of
-    the tree; a breadth-first walk yields the actual upper levels.
-    """
-    left = tree.left_child
-    right = tree.right_child
-    nodes = [0]
-    cursor = 0
-    while cursor < len(nodes) and len(nodes) < limit:
-        node = nodes[cursor]
-        cursor += 1
-        child = int(left[node])
-        if child >= 0:
-            nodes.append(child)
-            nodes.append(int(right[node]))
-    return np.asarray(nodes[:limit], dtype=np.int64)
-
-
-def _difficulty_order(index, matrix: np.ndarray) -> np.ndarray:
-    """Schedule queries hardest-first from one upper-level seed matmul.
-
-    For tree indexes, ``centers[levels] @ Q.T`` — a single GEMM over the
-    whole batch — yields every query's inner products with the root and
-    upper levels of the tree.  Queries whose node bounds are weakest
-    (smallest) will prune least and take longest, so they are dispatched
-    first.  The estimates never feed back into traversal (see the module
-    docstring).
-    """
-    num_queries = matrix.shape[0]
-    identity = np.arange(num_queries, dtype=np.int64)
-    tree = getattr(index, "tree", None)
-    centers = getattr(tree, "centers", None)
-    radii = getattr(tree, "radii", None)
-    if centers is None or radii is None or centers.shape[1] != matrix.shape[1]:
-        return identity
-    levels = _upper_level_nodes(tree, min(int(centers.shape[0]), SEED_NODES))
-    seed = matrix @ centers[levels].T  # the one batch-level matmul
-    norms = np.linalg.norm(matrix, axis=1)
-    norms[norms == 0.0] = 1.0
-    estimates = np.maximum(
-        np.abs(seed) / norms[:, None] - radii[levels][None, :], 0.0
-    ).mean(axis=1)
-    return np.argsort(estimates, kind="stable").astype(np.int64)
-
-
 # ------------------------------------------------------- process-pool plumbing
 
 _WORKER_INDEX = None
@@ -466,15 +338,6 @@ def _process_worker_init(index) -> None:
     """Pool initializer: hold the fitted index once per worker process."""
     global _WORKER_INDEX
     _WORKER_INDEX = index
-
-
-def _process_worker_run_opts(payload):
-    """Per-query chunk runner (``k`` and the search options per task)."""
-    rows, positions, k, search_kwargs = payload
-    return [
-        (pos, _WORKER_INDEX.search(row, k=k, **search_kwargs))
-        for row, pos in zip(rows, positions)
-    ]
 
 
 def _process_worker_run_kernel_opts(payload):

@@ -647,8 +647,7 @@ def run_batch(config: ExperimentConfig) -> ExperimentOutput:
     candidate budget the paper's Figures 5-6 sweep), the linear scan, and
     the NH/FH hashing baselines (answered by the vectorized whole-batch
     hashing kernel) across worker-pool sizes.  The ``path`` column records
-    which execution path the engine dispatched (``kernel``, ``fast-gemm``,
-    or ``per-query`` for the linear scan, which has no batch kernel).
+    which kernel the engine dispatched (``kernel`` or ``fast-gemm``).
     Recall is a sanity check (batched results are bit-identical to
     sequential search, so it always matches the sequential number).
     """

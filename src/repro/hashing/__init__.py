@@ -10,12 +10,11 @@ multilinear descendants BH/MH) that only work for unit-norm data
 All four index families share the whole-batch kernel in
 :mod:`repro.hashing.base`, so their ``batch_search`` is answered in
 chunked block calls by the execution engine (bit-identical to sequential
-``search``) instead of a per-query worker-pool loop.  NH/FH probe their
+``search``, which runs the same kernel on one row).  NH/FH probe their
 projection tables with fully batched array kernels; the bucket-based
 AH/EH/BH/MH schemes run the same kernel protocol but keep hash-code
 computation, bucket lookups, and verification per row (their sign kernels
-must match the sequential path bit for bit) — for them the batch path
-strips per-query dispatch overhead rather than vectorizing the probe.
+must match the sequential path bit for bit).
 """
 
 from repro.hashing.angular import AngularHyperplaneHash

@@ -7,28 +7,27 @@ factors the phases into one vectorized whole-batch kernel so the hashing
 side of the paper's comparison runs through the same engine fast path the
 tree indexes and the linear scan got:
 
-* :meth:`HashingIndex._batch_kernel` is the engine entry point
-  (:func:`repro.engine.batch.execute_batch` dispatches it instead of
-  pooling per-query ``_search_one`` calls): it normalizes the whole query
-  block, generates candidates for bounded sub-blocks of queries at once
-  (subclass hook :meth:`HashingIndex._candidates_batch`), and verifies
-  each query's candidates with the per-query gather + vectorized top-k
-  selection in :meth:`HashingIndex._verify_block`.
-* The sequential ``_search_one`` of every hashing index delegates to the
-  same kernel with a block of one query, so ``search`` and ``batch_search``
-  run literally the same code — the engine's bit-identical-results contract
-  holds by construction, for any batch chunking.
+* :meth:`HashingIndex._block_search` answers the block the engine's
+  entry point (:meth:`P2HIndex._batch_kernel`, dispatched by
+  :func:`repro.engine.batch.execute_batch`) has normalized: it generates
+  candidates for bounded sub-blocks of queries at once (subclass hook
+  :meth:`HashingIndex._candidates_batch`), and verifies each query's
+  candidates with the per-query gather + vectorized top-k selection in
+  :meth:`HashingIndex._verify_block`.
+* ``search`` runs the same kernel with a block of one query, so
+  ``search`` and ``batch_search`` run literally the same code — the
+  engine's bit-identical-results contract holds by construction, for any
+  batch chunking.
 
-Verification reduces each query's deduplicated candidate block with the
-same ``points[ids] @ query`` GEMV kernel the per-query path uses, followed
-by one vectorized top-k partition instead of per-candidate heap pushes —
-the distances are bit-identical to per-query verification by construction
-(same gather, same kernel, same inputs).
+Verification reduces each query's deduplicated candidate block with its
+own ``points[ids] @ query`` GEMV, followed by one vectorized top-k
+partition instead of per-candidate heap pushes — the distances are the
+same in any block by construction (same gather, same kernel, same
+inputs).
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
@@ -75,9 +74,8 @@ KERNEL_TARGET_ELEMENTS = 4_000_000
 class HashingIndex(P2HIndex):
     """Base class for hashing indexes with a vectorized whole-batch kernel.
 
-    Subclasses implement :meth:`_candidates_batch`; candidate verification,
-    top-k collection, engine dispatch, and the sequential/batched code
-    unification live here.
+    Subclasses implement :meth:`_candidates_batch`; sub-blocking,
+    candidate verification and top-k collection live here.
     """
 
     # ------------------------------------------------------------- overrides
@@ -96,20 +94,15 @@ class HashingIndex(P2HIndex):
 
     # ---------------------------------------------------------------- kernel
 
-    def _batch_kernel(
-        self, queries: np.ndarray, k: int, **kwargs
+    def _block_search(
+        self, matrix: np.ndarray, k: int, **kwargs
     ) -> List[SearchResult]:
-        """Answer a whole query block; the engine's vectorized entry point.
+        """Answer a normalized query block in bounded sub-blocks.
 
-        ``queries`` is a chunk of the 2-D matrix ``execute_batch`` already
-        promoted and finiteness-checked; only dimension checking and
-        per-row normalization remain (see ``_prepare_query_matrix``).
+        :meth:`P2HIndex._batch_kernel` normalizes the block and checks
+        ``k``; each sub-block then gets one candidate-generation and one
+        verification pass.
         """
-        wall_tic = time.perf_counter()
-        matrix = self._prepare_query_matrix(queries)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(int(k), self.num_points)
         block = max(1, min(KERNEL_BLOCK_QUERIES,
                            self._kernel_block_queries(**kwargs)))
         results: List[SearchResult] = []
@@ -121,13 +114,6 @@ class HashingIndex(P2HIndex):
             results.extend(
                 self._verify_block(sub, candidate_lists, k, stats_list)
             )
-        wall = time.perf_counter() - wall_tic
-        if results:
-            # The block kernel answers all queries together; attribute the
-            # wall time evenly so per-query timings stay meaningful.
-            share = wall / len(results)
-            for result in results:
-                result.stats.elapsed_seconds = share
         return results
 
     def _verify_block(
@@ -140,8 +126,8 @@ class HashingIndex(P2HIndex):
         """Verify every query's candidate block against the data matrix.
 
         Each query's candidates are gathered and reduced with the same
-        ``points[ids] @ query`` GEMV the per-query path always used, so
-        distances are bit-identical to sequential verification.  (A single
+        ``points[ids] @ query`` GEMV a one-row search runs, so distances
+        are bit-identical to sequential verification.  (A single
         whole-batch gather was measured slower at every dimension: copying
         all candidate rows into one out-of-cache buffer costs more memory
         bandwidth than per-query gathers that stay L2-resident, 4x slower
@@ -282,11 +268,3 @@ class HashingIndex(P2HIndex):
                 else table
                 for table in tables
             ]
-
-    # ------------------------------------------------------------ sequential
-
-    def _search_one(self, query: np.ndarray, k: int, **kwargs) -> SearchResult:
-        """One query through the same candidate + blocked-verify code path."""
-        matrix = query[None, :]
-        candidate_lists, stats_list = self._candidates_batch(matrix, **kwargs)
-        return self._verify_block(matrix, candidate_lists, k, stats_list)[0]

@@ -100,7 +100,6 @@ def check_query_matrix(
     expected_dim: Optional[int] = None,
     name: str = "queries",
     dtype: np.dtype = np.float64,
-    check_finite: bool = True,
 ) -> np.ndarray:
     """Validate a query block, promoting a single vector to one row.
 
@@ -118,9 +117,6 @@ def check_query_matrix(
         Name used in error messages.
     dtype:
         Target floating dtype.
-    check_finite:
-        Skip the O(q*d) finiteness scan when False — for dispatch paths
-        whose downstream per-query validation re-checks every row anyway.
 
     Returns
     -------
@@ -144,7 +140,7 @@ def check_query_matrix(
         raise ValueError(
             f"{name} must have dimension {expected_dim}, got {matrix.shape[1]}"
         )
-    if check_finite and not np.isfinite(matrix).all():
+    if not np.isfinite(matrix).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return matrix
 

@@ -437,8 +437,8 @@ class TestTreeKernelParity:
         self._assert_stats_equal(batch, sequential)
 
     def test_kernel_dispatch_path(self, fitted_indexes):
-        """Every tree option runs a kernel; only kernel-less indexes go
-        per-query."""
+        """Every option runs a kernel; only ``exact=False`` on a tree
+        takes the fast GEMM kernel."""
         from repro.engine.batch import kernel_dispatch_path
 
         bc = fitted_indexes["bc"]
@@ -448,7 +448,7 @@ class TestTreeKernelParity:
         assert kernel_dispatch_path(bc, profile=True) == "kernel"
         assert kernel_dispatch_path(bc, exact=False) == "fast-gemm"
         assert kernel_dispatch_path(fitted_indexes["bc_sequential"]) == "kernel"
-        assert kernel_dispatch_path(fitted_indexes["linear"]) == "per-query"
+        assert kernel_dispatch_path(fitted_indexes["linear"]) == "kernel"
         assert kernel_dispatch_path(fitted_indexes["nh"]) == "kernel"
 
     @pytest.mark.parametrize("name", ["ball", "bc", "kd"])
@@ -492,10 +492,10 @@ class TestTreeKernelParity:
 
 
 class TestCompositeEngineParity:
-    """Dynamic and partitioned indexes route through the engine — the
-    dynamic wrapper as per-query dispatch over its static core, the
-    partitioned index by fanning every shard's batch through the shard's
-    own kernel — and must stay bit-identical to sequential search across
+    """Dynamic and partitioned indexes answer blocks through their own
+    kernels — the dynamic wrapper runs its static core's kernel plus the
+    insert buffer, the partitioned index every shard's kernel plus the
+    block merge — and must stay bit-identical to sequential search across
     pool sizes, executors, and update states."""
 
     @pytest.mark.parametrize("n_jobs", [None, 1, 2, 4])
@@ -550,7 +550,7 @@ class TestCompositeEngineParity:
         per-query collector loop exactly — including on duplicate-heavy
         data where tied distances cross shard boundaries, and under
         budgets where rows come back shorter than k."""
-        from repro.core.partitioned import merge_shard_row
+        from repro.core.partitioned import merge_shard_batches, merge_shard_row
         from repro.core.results import SearchStats
 
         # Exact duplicates across shards force cross-shard distance ties
@@ -569,8 +569,8 @@ class TestCompositeEngineParity:
                 )
                 for shard, ids in zip(index.shards, index.shard_point_ids)
             ]
-            got = index._merge_shard_batches(
-                shard_batches, K, len(small_queries)
+            got = merge_shard_batches(
+                shard_batches, index.shard_point_ids, K, len(small_queries)
             )
             for row in range(len(small_queries)):
                 expected = merge_shard_row(
@@ -587,10 +587,8 @@ class TestCompositeEngineParity:
 
     def test_partitioned_effective_n_jobs(self, small_clustered_data,
                                           small_queries):
-        """The batch reports the pool the shards actually ran with —
-        also for empty batches and heterogeneous shard pools."""
-        from repro.core.partitioned import effective_pool_size
-
+        """The batch reports the pool it ran with — also for empty
+        batches."""
         index = PartitionedP2HIndex(num_partitions=3, random_state=0).fit(
             small_clustered_data
         )
@@ -601,15 +599,6 @@ class TestCompositeEngineParity:
         )
         assert len(empty) == 0
         assert empty.n_jobs == 2
-        # no shard batches at all (defensive default)
-        assert effective_pool_size([]) == 1
-
-        class _Stub:
-            def __init__(self, n_jobs):
-                self.n_jobs = n_jobs
-
-        # heterogeneous pools: report the peak parallelism of the call
-        assert effective_pool_size([_Stub(1), _Stub(3), _Stub(2)]) == 3
 
     @pytest.mark.parametrize("n_jobs", [None, 1, 2, 4])
     def test_dynamic_parity_across_pool_sizes(self, small_clustered_data,
@@ -673,19 +662,9 @@ class TestCompositeEngineParity:
 
 
 class TestVectorizedLinearPaths:
-    """The explicit matmul fast paths trade ulp-level reproducibility for
-    a single GEMM; indices must still agree on data without ties."""
-
-    def test_linear_scan_vectorized(self, small_clustered_data, small_queries):
-        scan = LinearScan().fit(small_clustered_data)
-        sequential = [scan.search(q, k=K) for q in small_queries]
-        batch = scan.batch_search(small_queries, k=K, vectorized=True)
-        assert len(batch) == len(sequential)
-        for got, expected in zip(batch, sequential):
-            np.testing.assert_array_equal(got.indices, expected.indices)
-            np.testing.assert_allclose(
-                got.distances, expected.distances, rtol=1e-12, atol=1e-12
-            )
+    """The explicit matmul path (``linear_mips_batch``) trades ulp-level
+    reproducibility for a single GEMM; indices must still agree on data
+    without ties."""
 
     def test_linear_mips_batch(self, gaussian_blob, rng):
         queries = rng.normal(size=(5, gaussian_blob.shape[1]))
@@ -698,12 +677,6 @@ class TestVectorizedLinearPaths:
             np.testing.assert_allclose(
                 got.distances, expected.distances, rtol=1e-12, atol=1e-12
             )
-
-    def test_vectorized_rejects_unknown_kwargs(self, small_clustered_data,
-                                               small_queries):
-        scan = LinearScan().fit(small_clustered_data)
-        with pytest.raises(TypeError):
-            scan.batch_search(small_queries, k=K, vectorized=True, probes=3)
 
 
 class TestBatchStats:

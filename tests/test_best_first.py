@@ -111,3 +111,41 @@ class TestBestFirstValidation:
         direct = BestFirstSearcher(fitted_tree).search(small_queries[0], k=5)
         wrapped = best_first_search(fitted_tree, small_queries[0], k=5)
         np.testing.assert_allclose(direct.distances, wrapped.distances)
+
+
+COUNTERS = (
+    "nodes_visited",
+    "center_inner_products",
+    "candidates_verified",
+    "points_pruned_ball",
+    "points_pruned_cone",
+    "leaves_scanned",
+)
+
+
+class TestBestFirstBatch:
+    @pytest.mark.parametrize(
+        "budget",
+        [{}, {"candidate_fraction": 0.2}, {"max_candidates": 70}],
+        ids=["exact", "fraction", "count"],
+    )
+    def test_batch_equals_sequential_with_counters(
+        self, fitted_tree, small_queries, budget
+    ):
+        """``batch_search`` runs the best-first block kernel on worker
+        chunks; every row equals its one-row ``search``, counters
+        included, for every pool size."""
+        searcher = BestFirstSearcher(fitted_tree)
+        sequential = [searcher.search(q, k=7, **budget) for q in small_queries]
+        for n_jobs in (1, 2):
+            batch = searcher.batch_search(
+                small_queries, k=7, n_jobs=n_jobs, **budget
+            )
+            assert len(batch) == len(sequential)
+            for got, expected in zip(batch, sequential):
+                np.testing.assert_array_equal(got.indices, expected.indices)
+                np.testing.assert_array_equal(got.distances, expected.distances)
+                for field in COUNTERS:
+                    assert getattr(got.stats, field) == getattr(
+                        expected.stats, field
+                    )

@@ -8,9 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BallTree, LinearScan
+from repro.core.distances import normalize_query
 from repro.core.dynamic import DynamicP2HIndex
 from repro.core.index_base import NotFittedError
-from repro.eval import exact_ground_truth
+from repro.eval import epsilon_recall, exact_ground_truth
+
+COUNTERS = (
+    "nodes_visited",
+    "center_inner_products",
+    "candidates_verified",
+    "points_pruned_ball",
+    "points_pruned_cone",
+    "leaves_scanned",
+)
 
 
 def _exact_distances(points, query, k):
@@ -218,6 +228,89 @@ class TestAccessorsAndValidation:
     def test_bad_k_rejected(self, dynamic_index, small_queries):
         with pytest.raises(ValueError):
             dynamic_index.search(small_queries[0], k=0)
+
+
+class TestBlockKernel:
+    """``batch_search`` answers a block with one static kernel call at the
+    margin fetch size, one more for the rows that ran short, and a
+    per-row GEMV over the live buffer rows."""
+
+    K = 5
+
+    def _mixed_state(self):
+        """Buffer rows and tombstones together; the top-k of queries 0-3
+        deleted, so their margin fetch runs short."""
+        rng = np.random.default_rng(41)
+        points = rng.normal(size=(600, 8))
+        queries = rng.normal(size=(8, 9))
+        index = DynamicP2HIndex(random_state=2, auto_rebuild=False)
+        index.insert(points[:560])
+        index.rebuild()
+        for query in queries[:4]:
+            index.delete(index.search(query, k=self.K).indices)
+        buffered = index.insert(points[560:])
+        index.delete(buffered[::4])
+        assert index.buffer_size == 40 and index.num_tombstones > 10
+        return index, points, queries
+
+    def test_refetch_runs_once_for_the_short_rows(self, monkeypatch):
+        index, _, queries = self._mixed_state()
+        static = index._static_index
+        live = index._static_live
+        dead = int(np.count_nonzero(~live))
+        # The margin fetch, and the rows it leaves with fewer than k live
+        # points.
+        fetch = self.K + -(-self.K * dead // (live.size - dead)) + 1
+        short = [
+            row for row, query in enumerate(queries)
+            if np.count_nonzero(
+                live[static.search(normalize_query(query), k=fetch).indices]
+            ) < self.K
+        ]
+        assert set(range(4)) <= set(short) and len(short) < len(queries)
+
+        calls = []
+        original = static._batch_kernel
+
+        def spy(block, k, **options):
+            calls.append((block.copy(), k))
+            return original(block, k, **options)
+
+        monkeypatch.setattr(static, "_batch_kernel", spy)
+        batch = index.batch_search(queries, k=self.K)
+        assert [k for _, k in calls] == [fetch, self.K + dead]
+        assert calls[0][0].shape[0] == len(queries)
+        normalized = np.vstack([normalize_query(q) for q in queries])
+        np.testing.assert_array_equal(calls[1][0], normalized[short])
+
+        for row, query in enumerate(queries):
+            expected = index.search(query, k=self.K)
+            got = batch[row]
+            np.testing.assert_array_equal(got.indices, expected.indices)
+            np.testing.assert_array_equal(got.distances, expected.distances)
+            for field in COUNTERS:
+                assert getattr(got.stats, field) == getattr(
+                    expected.stats, field
+                )
+
+    def test_fast_batches_within_epsilon_of_exact(self):
+        """``exact=False`` follows the tree families' fast contract: with
+        buffer rows and tombstones present, every row reaches
+        epsilon-recall 1.0 against the exact batch."""
+        index, points, queries = self._mixed_state()
+        exact = index.batch_search(queries, k=self.K)
+        fast = index.batch_search(queries, k=self.K, exact=False)
+        # The float32 cancellation bound of test_fast_mode, over the
+        # augmented points.
+        max_norm = float(np.max(np.linalg.norm(points, axis=1)))
+        abs_tol = 4.0 * 9 * float(np.finfo(np.float32).eps) * np.hypot(
+            max_norm, 1.0
+        )
+        for exact_row, fast_row in zip(exact, fast):
+            assert len(fast_row) == self.K
+            assert epsilon_recall(
+                fast_row.distances, exact_row.distances, abs_tol=abs_tol
+            ) == 1.0
 
 
 class TestDynamicProperty:

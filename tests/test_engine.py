@@ -13,7 +13,7 @@ from repro.engine import (
     execute_batch,
     resolve_budget,
 )
-from repro.engine.batch import _difficulty_order, pool_results
+from repro.engine.batch import kernel_dispatch_path, pool_results
 from repro.core.results import SearchResult, SearchStats
 
 
@@ -219,32 +219,23 @@ class TestExecuteBatch:
         with pytest.raises(ValueError):
             scan.batch_search(small_queries, k=3, n_jobs=0)
 
-    def test_difficulty_order_is_a_permutation(self, small_clustered_data,
+    def test_object_without_kernel_is_rejected(self, small_clustered_data,
                                                small_queries):
-        tree = BCTree(leaf_size=40, random_state=0).fit(small_clustered_data)
-        order = _difficulty_order(tree, np.atleast_2d(small_queries))
-        assert sorted(order.tolist()) == list(range(len(small_queries)))
-
-    def test_difficulty_order_without_tree_is_identity(self,
-                                                       small_clustered_data,
-                                                       small_queries):
+        """An object with only ``search`` fails descriptively: batched
+        search calls ``_batch_kernel`` and nothing else."""
         scan = LinearScan().fit(small_clustered_data)
-        order = _difficulty_order(scan, np.atleast_2d(small_queries))
-        np.testing.assert_array_equal(order, np.arange(len(small_queries)))
 
-    def test_search_fn_with_process_executor_rejected(self,
-                                                      small_clustered_data,
-                                                      small_queries):
-        scan = LinearScan().fit(small_clustered_data)
-        with pytest.raises(ValueError):
-            execute_batch(
-                scan,
-                small_queries,
-                3,
-                n_jobs=2,
-                executor="process",
-                search_fn=lambda q: scan.search(q, k=3),
-            )
+        class SearchOnly:
+            def search(self, query, k=1):
+                return scan.search(query, k=k)
+
+        message = "SearchOnly.*_batch_kernel.*P2HIndex"
+        for executor in ("thread", "process"):
+            with pytest.raises(TypeError, match=message):
+                execute_batch(SearchOnly(), small_queries, 3, n_jobs=2,
+                              executor=executor)
+        with pytest.raises(TypeError, match="_batch_kernel"):
+            kernel_dispatch_path(SearchOnly())
 
     def test_invalid_search_kwargs_propagate(self, small_clustered_data,
                                              small_queries):

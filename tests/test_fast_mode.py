@@ -164,7 +164,7 @@ class TestDispatchPath:
         query = _queries(points, 1)[0]
         for index, path in (
             (NHIndex(num_tables=4, random_state=0), "kernel"),
-            (LinearScan(), "per-query"),
+            (LinearScan(), "kernel"),
         ):
             index.fit(points)
             assert kernel_dispatch_path(index) == path

@@ -61,6 +61,23 @@ class TestBallTreeMIPS:
             expected = np.sort(scores)[::-1][:10]
             np.testing.assert_allclose(tree_result.distances, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_batch_search_matches_search(self, mips_index, absolute):
+        """``absolute`` is an ordinary kernel option; every batch row
+        equals the matching one-row search, for every pool size."""
+        queries = np.random.default_rng(3).normal(size=(9, 12))
+        search = mips_index.search_absolute if absolute else mips_index.search
+        expected = [search(query, k=6) for query in queries]
+        for n_jobs in (1, 2):
+            batch = mips_index.batch_search(
+                queries, k=6, n_jobs=n_jobs, absolute=absolute
+            )
+            assert len(batch) == len(expected)
+            for got, want in zip(batch, expected):
+                np.testing.assert_array_equal(got.indices, want.indices)
+                np.testing.assert_array_equal(got.distances, want.distances)
+                assert got.stats.nodes_visited == want.stats.nodes_visited
+
     def test_prunes_some_nodes(self, mips_index, rng):
         """On clustered-norm data the bound should prune at least one subtree."""
         result = mips_index.search(rng.normal(size=12) * 5.0, k=1)

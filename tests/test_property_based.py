@@ -308,20 +308,41 @@ class TestCompositeIndexProperties:
 
     @given(
         data=problems(),
-        delete_fraction=st.floats(0.0, 0.8),
+        cut=st.floats(0.0, 1.0),
+        first_deletes=st.floats(0.0, 0.8),
+        later_deletes=st.floats(0.0, 0.5),
+        auto_rebuild=st.booleans(),
+        rebuild_first=st.booleans(),
+        threshold=st.sampled_from([0.25, 4.0]),
+        n_jobs=st.sampled_from([1, 2]),
+        budget=st.one_of(st.just({}), budget_options),
     )
-    def test_dynamic_batch_equals_sequential(self, data, delete_fraction):
+    def test_dynamic_batch_equals_sequential(
+        self, data, cut, first_deletes, later_deletes, auto_rebuild,
+        rebuild_first, threshold, n_jobs, budget,
+    ):
+        """The dynamic block kernel equals per-query search in every state
+        an insert/delete history reaches: two insert waves put rows in the
+        buffer beside the static index's tombstones (auto-rebuild off, or
+        a threshold no history here crosses), and the later deletes hit
+        both parts — for both pool sizes, with and without a budget."""
         points, queries, k, leaf_size = data
         index = DynamicP2HIndex(
             index_factory=lambda: BCTree(leaf_size=leaf_size, random_state=3),
+            rebuild_threshold=threshold,
+            auto_rebuild=auto_rebuild,
         )
-        ids = index.insert(points)
-        num_delete = int(delete_fraction * len(ids))
-        if num_delete:
-            index.delete(ids[:num_delete])
+        split = max(1, int(cut * len(points)))
+        ids = index.insert(points[:split])
+        if rebuild_first:
+            index.rebuild()
+        index.delete(ids[: int(first_deletes * len(ids))])
+        if split < len(points):
+            ids = np.concatenate([ids, index.insert(points[split:])])
+        index.delete(ids[::-1][: int(later_deletes * len(ids))])
         assume(index.num_points > 0)
-        sequential = [index.search(q, k=k) for q in queries]
-        batch = index.batch_search(queries, k=k)
+        sequential = [index.search(q, k=k, **budget) for q in queries]
+        batch = index.batch_search(queries, k=k, n_jobs=n_jobs, **budget)
         _assert_bit_identical_with_stats(batch, sequential)
 
     @given(data=problems())

@@ -28,8 +28,8 @@ K = 5
 
 #: (family id, build kwargs, search overrides) — chosen to cover the tree
 #: block kernel, its sequential-scan mode, the budgeted
-#: kernel, the per-query path (linear scan), the hashing kernel, and both
-#: composites.
+#: kernel, the default per-row kernel (linear scan), the hashing kernel,
+#: and both composites' kernels.
 CASES = [
     ("bc_tree", {"leaf_size": 32, "random_state": 0}, {}),
     ("bc_tree_seq", {"leaf_size": 32, "random_state": 0,
@@ -97,10 +97,6 @@ def test_session_parity_across_repeated_calls(
     case_id, build_kwargs, search_overrides, executor
 ):
     """Three warm-pool calls, each bit-identical to the per-call path."""
-    if executor == "process" and case_id == "partitioned" and (
-        os.environ.get("REPRO_FAST_TESTS") == "1"
-    ):
-        pytest.skip("per-shard process pools are slow on tiny runners")
     index = _build_fitted(case_id, build_kwargs)
     expected = index.batch_search(
         QUERIES, k=K, n_jobs=2, executor=executor, **search_overrides
@@ -245,24 +241,32 @@ def test_stream_checks_each_chunk_after_close():
 
 
 def test_batch_only_kwargs_work_under_thread_sessions():
-    """LinearScan's vectorized / MIPS's absolute survive the session."""
-    scan = _build_fitted("linear_scan", {})
-    expected = scan.batch_search(QUERIES, k=K, n_jobs=2, vectorized=True)
-    with Searcher(scan, SearchOptions(k=K, n_jobs=2)) as searcher:
-        got = searcher.batch_search(QUERIES, vectorized=True)
-    for got_row, expected_row in zip(got, expected):
-        np.testing.assert_array_equal(got_row.indices, expected_row.indices)
-
+    """MIPS's ``absolute`` is an ordinary kernel option: it works through
+    ``batch_search`` and a session on both executors, and every row equals
+    ``search_absolute``."""
     mips = build_index("mips", leaf_size=32, random_state=0).fit(POINTS)
-    point_queries = RNG.normal(size=(4, POINTS.shape[1]))
-    expected = mips.batch_search(point_queries, k=3, n_jobs=2, absolute=True)
-    with Searcher(mips, SearchOptions(k=3, n_jobs=2)) as searcher:
-        got = searcher.batch_search(point_queries, absolute=True)
-    for got_row, expected_row in zip(got, expected):
-        np.testing.assert_array_equal(got_row.indices, expected_row.indices)
-        np.testing.assert_array_equal(
-            got_row.distances, expected_row.distances
+    point_queries = np.random.default_rng(5).normal(size=(4, POINTS.shape[1]))
+    expected = [mips.search_absolute(q, k=3) for q in point_queries]
+    for executor in ("thread", "process"):
+        direct = mips.batch_search(
+            point_queries, k=3, n_jobs=2, executor=executor, absolute=True
         )
+        with Searcher(
+            mips, SearchOptions(k=3, n_jobs=2, executor=executor)
+        ) as searcher:
+            session = searcher.batch_search(point_queries, absolute=True)
+        for got in (direct, session):
+            assert len(got) == len(expected)
+            for got_row, expected_row in zip(got, expected):
+                np.testing.assert_array_equal(
+                    got_row.indices, expected_row.indices
+                )
+                np.testing.assert_array_equal(
+                    got_row.distances, expected_row.distances
+                )
+                assert _counters(got_row.stats) == _counters(
+                    expected_row.stats
+                )
 
 
 def test_searcher_rejects_non_indexes():
@@ -318,7 +322,8 @@ def test_process_session_refreshes_pool_after_static_refit():
 
 
 def test_partitioned_thread_session_uses_native_shard_batches():
-    """Thread sessions keep the partitioned index's own batched path."""
+    """Thread sessions answer the partitioned index through its shard
+    kernels and block merge, as ``batch_search`` does."""
     index = _build_fitted(
         "partitioned",
         {"num_partitions": 3, "strategy": "contiguous", "random_state": 0},
@@ -327,8 +332,6 @@ def test_partitioned_thread_session_uses_native_shard_batches():
     with Searcher(index, SearchOptions(k=K, n_jobs=2)) as searcher:
         got = searcher.batch_search(QUERIES)
         assert_batches_identical(got, expected)
-        # The native path never needed the session pool.
-        assert searcher._pool is None
 
 
 def test_single_query_search_uses_session_defaults():
