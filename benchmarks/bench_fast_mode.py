@@ -9,7 +9,7 @@ bounds, batched cross-query leaf GEMMs, and compiled (Numba, with NumPy
 fallback) top-k kernels — in exchange for an approximation budget of a few
 float32 ulps at the hyperplane.
 
-Two tests:
+Three tests:
 
 * the speedup floor pits ``FastTreeKernel.search_block`` directly against
   the exact ``BlockTraversalKernel.search_block`` (same engine, same
@@ -19,7 +19,12 @@ Two tests:
 * the recall sweep checks every tree family stays above the same floor
   and that epsilon-recall (cancellation-aware, see
   :func:`repro.eval.metrics.epsilon_recall`) is 1.0 — i.e. every "miss"
-  is a float32-rounding tie at the k-th boundary, never a pruning bug.
+  is a float32-rounding tie at the k-th boundary, never a pruning bug;
+* the one-row leg times one-row ``search(q, exact=False)`` against
+  one-row ``search(q)`` for every family — the per-query path the server
+  and the cluster take for ``exact=False`` — asserts epsilon-recall 1.0,
+  and at full scale asserts BC-Tree's one-row fast search is at least as
+  fast as its one-row exact search.
 
 Tiny smoke sizes (CI) only enforce a sanity floor on the speedup: the
 GEMM amortization needs real tree depth and leaf width to show, and
@@ -59,6 +64,16 @@ SPEEDUP_FLOOR = 3.0
 #: Required plain set recall against the exact oracle.
 RECALL_FLOOR = 0.999
 
+#: Leaf size of the per-family tests.
+FAMILY_LEAF_SIZE = 100
+
+#: Queries of the one-row leg, each searched alone in every round.
+ONE_ROW_QUERIES = 200
+
+#: Required speed of BC-Tree's one-row fast search over its one-row exact
+#: search at full scale (>= 4000 points).
+ONE_ROW_FLOOR = 1.0
+
 
 def _floor_workload():
     num_points = min(bench_num_points(), 4000)
@@ -68,6 +83,15 @@ def _floor_workload():
     )
     queries = random_hyperplane_queries(points, FLOOR_QUERIES, rng=22)
     return num_points, points, queries
+
+
+def _families():
+    return {
+        "Ball-Tree": BallTree(leaf_size=FAMILY_LEAF_SIZE, random_state=0),
+        "BC-Tree": BCTree(leaf_size=FAMILY_LEAF_SIZE, random_state=0),
+        "KD-Tree": KDTree(leaf_size=FAMILY_LEAF_SIZE),
+        "RP-Tree": RPTree(leaf_size=FAMILY_LEAF_SIZE, random_state=0),
+    }
 
 
 def _recall_vs_exact(exact_results, fast_results, *, dim, max_point_norm):
@@ -179,14 +203,8 @@ def test_fast_mode_recall_all_families(results_dir):
     """Recall floor for every tree family, plus epsilon-recall == 1.0."""
     num_points, points, queries = _floor_workload()
     block = queries[:512]
-    families = {
-        "Ball-Tree": BallTree(leaf_size=100, random_state=0),
-        "BC-Tree": BCTree(leaf_size=100, random_state=0),
-        "KD-Tree": KDTree(leaf_size=100),
-        "RP-Tree": RPTree(leaf_size=100, random_state=0),
-    }
     records = []
-    for name, index in families.items():
+    for name, index in _families().items():
         index.fit(points)
         exact_batch = index.batch_search(block, k=K)
         fast_batch = index.batch_search(block, k=K, exact=False)
@@ -237,4 +255,83 @@ def test_fast_mode_recall_all_families(results_dir):
             "min_epsilon_recall": min(r["epsilon_recall"] for r in records),
         },
         records=records,
+    )
+
+
+def test_fast_mode_one_row_all_families(results_dir):
+    """One-row fast ``search`` against one-row exact ``search``, per family.
+
+    A one-row block never reaches the fast kernel's cross-query GEMMs: the
+    kernel finishes it with one leaf sweep.  Both modes answer the same
+    queries one ``search`` call at a time, in interleaved best-of rounds,
+    so a noisy-neighbor phase cannot penalize one side only.
+    """
+    num_points, points, queries = _floor_workload()
+    queries = queries[:ONE_ROW_QUERIES]
+    floor = ONE_ROW_FLOOR if num_points >= 4000 else 0.0
+    records = []
+    for name, index in _families().items():
+        index.fit(points)
+        index.search(queries[0], k=K)
+        index.search(queries[0], k=K, exact=False)
+        exact_seconds = fast_seconds = float("inf")
+        for _ in range(5):
+            tic = time.perf_counter()
+            exact_results = [index.search(q, k=K) for q in queries]
+            exact_seconds = min(exact_seconds, time.perf_counter() - tic)
+            tic = time.perf_counter()
+            fast_results = [index.search(q, k=K, exact=False) for q in queries]
+            fast_seconds = min(fast_seconds, time.perf_counter() - tic)
+        max_norm = float(np.max(np.linalg.norm(index.points, axis=1)))
+        plain_recall, eps_recall = _recall_vs_exact(
+            exact_results, fast_results, dim=index.dim, max_point_norm=max_norm
+        )
+        records.append(
+            {
+                "method": name,
+                "num_points": num_points,
+                "num_queries": len(queries),
+                "leaf_size": FAMILY_LEAF_SIZE,
+                "exact_ms_per_query": exact_seconds * 1000.0 / len(queries),
+                "fast_ms_per_query": fast_seconds * 1000.0 / len(queries),
+                "fast_speed_over_exact": exact_seconds / fast_seconds,
+                "recall_vs_exact": plain_recall,
+                "epsilon_recall": eps_recall,
+            }
+        )
+        assert eps_recall == 1.0, (
+            f"{name}: one-row fast epsilon recall {eps_recall:.5f} < 1.0"
+        )
+
+    print()
+    print_and_save(
+        records,
+        list(records[0]),
+        title="Fast mode: one-row search, fast vs exact, all tree families",
+        json_path=results_dir / "fast_mode_one_row.json",
+    )
+    bc = next(r for r in records if r["method"] == "BC-Tree")
+    emit_bench_json(
+        "fast_mode",
+        test="test_fast_mode_one_row_all_families",
+        config={
+            "num_points": num_points,
+            "num_queries": len(queries),
+            "leaf_size": FAMILY_LEAF_SIZE,
+            "k": K,
+            "backend": kernel_backend(),
+        },
+        metrics={
+            "bc_exact_ms_per_query": bc["exact_ms_per_query"],
+            "bc_fast_ms_per_query": bc["fast_ms_per_query"],
+            "bc_fast_speed_over_exact": bc["fast_speed_over_exact"],
+            "min_epsilon_recall": min(r["epsilon_recall"] for r in records),
+            "floor": floor,
+        },
+        records=records,
+    )
+    assert bc["fast_speed_over_exact"] >= floor, (
+        f"BC-Tree one-row fast search ({bc['fast_ms_per_query']:.3f} ms/q) "
+        f"is only {bc['fast_speed_over_exact']:.2f}x its one-row exact "
+        f"search ({bc['exact_ms_per_query']:.3f} ms/q); expected >= {floor}x"
     )

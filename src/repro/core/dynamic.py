@@ -276,6 +276,13 @@ class DynamicP2HIndex:
             for collector, row_stats in zip(collectors, stats)
         ]
 
+    def _kernel_indexes(self) -> List[P2HIndex]:
+        """The indexes whose kernel :meth:`_batch_kernel` calls: the static
+        index, while it holds a live point."""
+        if self._static_ids.size == self._static_dead:
+            return []
+        return [self._static_index]
+
     def _search_static(self, matrix, k, stats, search_kwargs):
         """Per row, ids and distances of the static index's top-``k`` live points.
 

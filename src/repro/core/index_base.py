@@ -275,7 +275,10 @@ class P2HIndex:
             )
         if not self.normalize_queries or matrix.shape[0] == 0:
             return matrix
-        return np.vstack([normalize_query(row) for row in matrix])
+        normalized = np.empty_like(matrix)
+        for row, query in enumerate(matrix):
+            normalized[row] = normalize_query(query)
+        return normalized
 
     @property
     def points(self) -> np.ndarray:

@@ -381,6 +381,10 @@ class PartitionedP2HIndex:
             shard_batches, self.shard_point_ids, k, queries.shape[0]
         )
 
+    def _kernel_indexes(self) -> List[P2HIndex]:
+        """The indexes whose kernel :meth:`_batch_kernel` calls: the shards."""
+        return list(self.shards)
+
     # ------------------------------------------------------------ persistence
 
     def save(self, path) -> None:

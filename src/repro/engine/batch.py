@@ -171,16 +171,33 @@ def kernel_dispatch_path(index, **search_kwargs) -> str:
     plus cross-query GEMM, :mod:`repro.engine.fast`), and ``"kernel"``
     for every other configuration (the exact block traversal kernel, the
     hashing baselines' block kernels and the per-row default kernel).
-    Raises ``TypeError`` for an object without a batch kernel, as
-    :func:`execute_batch` does.
+    A composite answers with the kernels of the indexes its own kernel
+    calls (``_kernel_indexes``: the dynamic index's static index, the
+    partitioned index's shards), so it is judged by those.  Raises
+    ``TypeError`` for an object without a batch kernel, as
+    :func:`execute_batch` does, and for ``exact=False`` on an index
+    without a fast tier, as its ``batch_search`` does.
     """
     _batch_kernel_of(index)
-    if (
-        not search_kwargs.get("exact", True)
-        and getattr(index, "tree", None) is not None
-    ):
+    if search_kwargs.get("exact", True):
+        return "kernel"
+    kernel_indexes = getattr(index, "_kernel_indexes", None)
+    if kernel_indexes is not None:
+        paths = {
+            kernel_dispatch_path(sub_index, **search_kwargs)
+            for sub_index in kernel_indexes()
+        }
+        return "fast-gemm" if "fast-gemm" in paths else "kernel"
+    # Every tree family hands exact=False to the fast tier; a call-time
+    # import, since repro.core.index_base imports this module.
+    from repro.core.index_base import LeafStoredPointsMixin
+
+    if isinstance(index, LeafStoredPointsMixin):
         return "fast-gemm"
-    return "kernel"
+    raise TypeError(
+        f"{type(index).__name__} has no fast tier: exact=False is not an "
+        "option of its batch_search"
+    )
 
 
 def _batch_kernel_of(index):

@@ -10,19 +10,30 @@ forgo:
   float32 copy of the points plus float32 center/radius (or KD box) arrays
   (:meth:`~repro.engine.traversal.TraversalEngine.fast_arrays`), halving
   memory traffic on every bound and distance evaluation.
-* **Cross-query GEMM everywhere.**  Node bounds come from one eager
-  ``Q @ centers.T`` GEMM per sub-block, and every leaf is verified with a
-  single ``Q[live] @ points_leaf[s:e].T`` GEMM for the whole surviving
-  group — the per-query GEMVs (and the per-(node, query) ddots of the
-  budgeted exact path) are gone.
+* **Cross-query GEMM.**  Node bounds come from one eager
+  ``Q @ centers.T`` GEMM per sub-block, and every leaf a group reaches is
+  verified with a single ``Q[live] @ points_leaf[s:e].T`` GEMM for the
+  whole surviving group — the per-query GEMVs (and the per-(node, query)
+  ddots of the budgeted exact path) are gone.
 * **No group splitting.**  The exact kernel must replay every query's solo
   DFS order, so groups split whenever branch preferences disagree.  Here a
   popped group stays intact: children are visited in the *majority*
   preference order, trading per-query descent optimality for much larger
-  (and therefore cheaper) group events.
-* **Compiled scalar hot spots.**  The per-candidate top-k offers and the
-  single-query leaf scans run through :mod:`repro.engine.kernels` —
+  (and therefore cheaper) group events.  The per-candidate top-k offers
+  of a group leaf run through :func:`repro.engine.kernels.offer_rows` —
   Numba-compiled when available, vectorized NumPy otherwise.
+* **One leaf sweep per small query group.**  A group of at most
+  :data:`SCALAR_GROUP_CUTOFF` rows leaves the shared DFS, and each of its
+  queries is finished after the DFS by one sweep over every subtree
+  handed to it (:meth:`FastTreeKernel._sweep`).  The sweep reads each
+  leaf's own node bound from the block's bound table, verifies the leaves
+  that can still hold a top-k point with one GEMV per contiguous run of
+  leaves (a seed while the query has no threshold yet, then the first
+  quarter of the admitted leaves, then the rest the tightened threshold
+  still admits), and selects the top-k once.  A block of at most
+  :data:`SCALAR_GROUP_CUTOFF` rows — every one-row ``search`` — is taken
+  whole at the root: it skips the warm start, and no GEMM runs for its
+  leaves.
 
 Approximation contract
 ----------------------
@@ -35,10 +46,15 @@ The property suite and `benchmarks/bench_fast_mode.py` hold the mode to
 recall@k >= 0.999 against the exact oracle (recall counted with a 1e-5
 relative distance tolerance, the standard epsilon-recall for
 reduced-precision ANN).  ``SearchStats`` counters are populated with the
-fast traversal's own (smaller) work counts; they are **not** comparable to
-the exact path's counters, and the per-point pruning counters stay zero —
-fast mode always verifies whole leaves with one GEMM, which is cheaper
-than point-level bound evaluation at float32 GEMM speed.
+fast traversal's own work counts; they are **not** comparable to the exact
+path's counters, and the per-point pruning counters stay zero — fast mode
+always verifies whole leaves, which is cheaper than point-level bound
+evaluation at float32 GEMM speed.  ``nodes_visited`` counts the group
+nodes popped with a query plus the leaves whose bound the sweep read,
+``leaves_scanned`` and ``candidates_verified`` the leaves and rows
+verified (by group GEMMs and sweep GEMVs alike), and
+``center_inner_products`` the root plus the group DFS's expansions (the
+sweep expands no node).
 
 Results do not depend on how a batch is *chunked across workers* only up
 to the majority vote: chunking changes group composition and thereby child
@@ -60,8 +76,8 @@ NO_CHILD = -1
 
 _INF = float("inf")
 
-#: Relative pruning slack: a node (or scalar-descent frontier entry) is
-#: visited while ``bound < threshold * FAST_PRUNE_SLACK``.  Float32 bound
+#: Relative pruning slack: a node (or a leaf in the finisher's sweep) is
+#: visited while ``bound <= threshold * FAST_PRUNE_SLACK``.  Float32 bound
 #: arithmetic has relative error around 1e-6; the 1e-4 slack makes a
 #: wrongly-pruned-by-rounding subtree essentially impossible at the cost of
 #: visiting a sliver of extra borderline nodes.
@@ -76,9 +92,9 @@ BLOCK_TARGET_ELEMENTS = 8_000_000
 #: exact block kernel's cap).
 BLOCK_QUERIES = 4096
 
-#: Groups at or below this size leave the shared frontier and finish on
-#: the scalar per-query descent (compiled leaf scans); NumPy/GEMM dispatch
-#: on tiny groups costs more than it saves.
+#: Groups at or below this size leave the shared frontier and are finished
+#: by the per-query leaf sweep; NumPy/GEMM dispatch on tiny groups costs
+#: more than it saves.
 SCALAR_GROUP_CUTOFF = 4
 
 
@@ -98,16 +114,21 @@ class FastTreeKernel:
         # warm-start descent (the DFS proper reads the lists scalar-wise).
         self._left_np = np.asarray(engine._left, dtype=np.int64)
         self._right_np = np.asarray(engine._right, dtype=np.int64)
-        self._max_leaf = max(
-            (
-                end - start
-                for start, end, left in zip(
-                    engine._start, engine._end, engine._left
-                )
-                if left == NO_CHILD
-            ),
-            default=0,
-        )
+        # Leaf geometry of the per-query sweep: the non-empty leaves in
+        # leaf order with their point ranges, and for every node the
+        # [lo, hi) range of its leaves (a subtree's points are contiguous,
+        # so its leaves are too).
+        start = np.asarray(engine._start, dtype=np.int64)
+        end = np.asarray(engine._end, dtype=np.int64)
+        leaves = np.flatnonzero((self._left_np == NO_CHILD) & (end > start))
+        leaves = leaves[np.argsort(start[leaves], kind="stable")]
+        self._leaf_nodes = leaves
+        self._leaf_start = start[leaves]
+        self._leaf_end = end[leaves]
+        self._leaf_size = self._leaf_end - self._leaf_start
+        self._leaf_lo = np.searchsorted(self._leaf_start, start).tolist()
+        self._leaf_hi = np.searchsorted(self._leaf_start, end).tolist()
+        self._max_leaf = int(self._leaf_size.max(initial=0))
         points_leaf = self._arrays.points_leaf
         if points_leaf.shape[0]:
             self._max_point_norm = float(
@@ -225,12 +246,14 @@ class FastTreeKernel:
         #
         # The seed must survive re-evaluation through a *different* BLAS
         # path: the DFS recomputes the warm leaf's distances with another
-        # GEMM shape (or the scalar dot kernel), whose rounding can land a
+        # GEMM shape (or the finisher's GEMV), whose rounding can land a
         # few ulps above this one's.  Inflate by the relative pruning
         # slack plus an absolute dot-product rounding bound so the <=
         # admission can never reject the very point the seed came from.
+        # A block the finisher takes whole at the root seeds itself from
+        # verified candidates instead (see ``_sweep``), so it skips this.
         slack = dtype.type(FAST_PRUNE_SLACK)
-        if k <= self._max_leaf:
+        if B > SCALAR_GROUP_CUTOFF and k <= self._max_leaf:
             seed_eps = (
                 Q.shape[1]
                 * float(np.finfo(dtype).eps)
@@ -277,55 +300,8 @@ class FastTreeKernel:
         nleaves_arr = np.zeros(B, dtype=np.int64)
 
         offer_rows = kernels.offer_rows
-        scan_leaf = kernels.scan_leaf
 
-        def scalar_descend(node, q):
-            """Finish one query from ``node`` with the compiled leaf scans."""
-            thr = float(THR[q])
-            qrow = Q[q]
-            if budgeted:
-                verified = int(VER[q])
-            nvq = exq = candq = nlq = 0
-            stack = [node]
-            push = stack.append
-            pop = stack.pop
-            while stack:
-                if budgeted and verified >= budget:
-                    break
-                nd = pop()
-                nvq += 1
-                if BT[nd, q] > thr * FAST_PRUNE_SLACK:  # <= visits; see DFS
-                    continue
-                left = left_child[nd]
-                if left == NO_CHILD:
-                    s = start_arr[nd]
-                    e = end_arr[nd]
-                    nlq += 1
-                    candq += e - s
-                    if budgeted:
-                        verified += e - s
-                    thr = float(
-                        scan_leaf(
-                            points_leaf, s, e, qrow, perm, top_d, top_i, q, thr
-                        )
-                    )
-                    continue
-                right = right_child[nd]
-                exq += 1
-                if KT[left, q] < KT[right, q]:
-                    push(right)
-                    push(left)
-                else:
-                    push(left)
-                    push(right)
-            nv_arr[q] += nvq
-            exps_arr[q] += exq
-            cand_arr[q] += candq
-            nleaves_arr[q] += nlq
-            THR[q] = thr
-            if budgeted:
-                VER[q] = verified
-
+        handed = {}  # query -> the nodes the DFS handed to the finisher
         stack = [(0, np.arange(B, dtype=np.int64))]
         while stack:
             node, qs = stack.pop()
@@ -338,7 +314,7 @@ class FastTreeKernel:
             n = qs.shape[0]
             if n <= SCALAR_GROUP_CUTOFF:
                 for q in qs.tolist():
-                    scalar_descend(node, q)
+                    handed.setdefault(q, []).append(node)
                 continue
             nv_arr[qs] += 1
             # <= (not <): the warm-start threshold is reachable exactly —
@@ -378,6 +354,29 @@ class FastTreeKernel:
                 stack.append((left, live))
                 stack.append((right, live))
 
+        # -- the finisher: one sweep per query over every subtree the DFS
+        # handed it (the whole tree, for a block it takes at the root).
+        leaf_lo = self._leaf_lo
+        leaf_hi = self._leaf_hi
+        for q, nodes in handed.items():
+            if budgeted and VER[q] >= budget:
+                continue
+            leaves = np.concatenate(
+                [np.arange(leaf_lo[node], leaf_hi[node]) for node in nodes]
+            )
+            nv_arr[q] += leaves.shape[0]
+            THR[q], nleaves, rows = self._sweep(
+                leaves,
+                BT[self._leaf_nodes[leaves], q],
+                Q[q],
+                float(THR[q]),
+                budget - int(VER[q]) if budgeted else _INF,
+                top_d[q],
+                top_i[q],
+            )
+            nleaves_arr[q] += nleaves
+            cand_arr[q] += rows
+
         # ------------------------------------------------- materialization
 
         count_ips = centers is not None
@@ -401,3 +400,94 @@ class FastTreeKernel:
                 )
             )
         return results
+
+    # --------------------------------------------------------- the finisher
+
+    def _sweep(self, leaves, bounds, qrow, thr, room, top_d, top_i):
+        """Finish one query over the leaves ``leaves`` (leaf indices).
+
+        ``bounds`` holds each leaf's own node bound, ``thr`` the query's
+        threshold (``+inf`` before it has one), ``room`` its remaining
+        candidate budget, and ``top_d``/``top_i`` its top-k rows, which
+        are rewritten in place.  Leaves are admitted in bound order, so
+        the ones verified are always a prefix of that order:
+
+        * while ``thr`` is infinite, a seed verifies the best-bound
+          leaves until they hold ``k`` points; its distances stay
+          candidates, so the seed threshold needs no rounding inflation;
+        * the leaves with ``bound <= thr * FAST_PRUNE_SLACK`` (a further
+          prefix) are verified in two passes: the first quarter, then,
+          with the threshold re-taken from everything found so far,
+          the rest that still passes;
+        * under a budget, leaves are admitted while the verified count
+          is below ``room`` (the last one may overshoot, as in the DFS).
+
+        One ``argpartition`` and one stable ``argsort`` over the old top-k
+        plus every candidate then select the new top-k.  Returns the new
+        threshold, the leaves verified and the rows verified.
+        """
+        k = top_d.shape[0]
+        order = np.argsort(bounds, kind="stable")
+        bounds = bounds[order]
+        chosen = leaves[order]
+        # filled[j]: the rows in the first j + 1 leaves of the bound order
+        filled = np.cumsum(self._leaf_size[chosen])
+        stop = chosen.shape[0]
+        if room != _INF:
+            stop = min(stop, int(np.searchsorted(filled, room)) + 1)
+        found_d = [top_d]
+        found_i = [top_i]
+        pos = 0
+        if thr == _INF:
+            pos = min(stop, int(np.searchsorted(filled, k)) + 1)
+            self._verify(chosen[:pos], qrow, found_d, found_i)
+            thr = _kth(found_d, k)
+        for first_pass in (True, False):
+            end = min(
+                stop,
+                int(np.searchsorted(bounds, thr * FAST_PRUNE_SLACK, "right")),
+            )
+            if end <= pos:
+                break
+            cut = pos + (end - pos + 3) // 4 if first_pass else end
+            self._verify(chosen[pos:cut], qrow, found_d, found_i)
+            pos = cut
+            if first_pass:
+                thr = min(thr, _kth(found_d, k))
+        if pos == 0:
+            return thr, 0, 0
+        pool_d = np.concatenate(found_d)
+        pool_i = np.concatenate(found_i)
+        part = np.argpartition(pool_d, k - 1)[:k]
+        best = pool_d[part]
+        rank = np.argsort(best, kind="stable")
+        top_d[:] = best[rank]
+        top_i[:] = pool_i[part[rank]]
+        return min(thr, float(top_d[k - 1])), pos, int(filled[pos - 1])
+
+    def _verify(self, chosen, qrow, found_d, found_i):
+        """Append the distances and ids of every point in leaves ``chosen``.
+
+        The leaves are verified in leaf order, with one GEMV per
+        contiguous run of them.
+        """
+        if chosen.shape[0] == 0:
+            return
+        chosen = np.sort(chosen)
+        starts = self._leaf_start[chosen]
+        ends = self._leaf_end[chosen]
+        first = np.ones(chosen.shape[0], dtype=bool)
+        np.not_equal(starts[1:], ends[:-1], out=first[1:])
+        last = np.ones_like(first)
+        last[:-1] = first[1:]
+        points_leaf = self._arrays.points_leaf
+        perm = self._engine._perm
+        for s, e in zip(starts[first].tolist(), ends[last].tolist()):
+            dist = points_leaf[s:e] @ qrow
+            found_d.append(np.abs(dist, out=dist))
+            found_i.append(perm[s:e])
+
+
+def _kth(found_d, k):
+    """The k-th smallest distance in ``found_d`` (+inf if it has fewer)."""
+    return float(np.partition(np.concatenate(found_d), k - 1)[k - 1])

@@ -1,19 +1,20 @@
-"""Compiled (Numba) hot-loop kernels for the fast search mode, with
-pure-NumPy fallbacks.
+"""Compiled (Numba) top-k offer kernel for the fast search mode, with a
+pure-NumPy fallback.
 
-The exact engine (:mod:`repro.engine.traversal`, :mod:`repro.engine.block`)
-is bound by two remaining Python-loop hot spots that vectorization cannot
-remove without breaking its bit-identity contract: the per-candidate top-k
-heap offers and the scalar (single-query) leaf scans.  The fast mode
-(:mod:`repro.engine.fast`) has no such contract, so those two loops are
-compiled with :func:`numba.njit` when Numba is importable; when it is not
-(the default container has no Numba), equivalent pure-NumPy implementations
-run instead.
+Only :data:`offer_rows` remains here: the per-candidate top-k offers of a
+fast-mode group leaf event (:mod:`repro.engine.fast`), a Python-loop hot
+spot the exact engine must keep per query for its bit-identity contract.
+The fast mode has no such contract, so the loop is compiled with
+:func:`numba.njit` when Numba is importable; when it is not (Numba is an
+optional dependency), an equivalent pure-NumPy implementation runs
+instead.  The fast kernel's per-query leaf sweep needs neither: it is
+NumPy code on both backends (one GEMV per contiguous run of leaves and
+one top-k selection per query).
 
 Both implementations maintain the same data structure: per-query arrays
 ``top_d``/``top_i`` of shape ``(B, k)`` holding the current best distances
 (ascending, padded with ``+inf``) and their point ids (padded with ``-1``),
-plus the per-query pruning threshold ``thr[q] == top_d[q, k - 1]``.  The
+plus the per-query pruning threshold ``thr[q] <= top_d[q, k - 1]``.  The
 Numba and NumPy variants keep the same top-k *set* (tie-breaking at the
 k-th boundary may differ — fast mode makes no ordering promise between
 equal distances), so the fast-mode recall guarantee is implementation
@@ -51,8 +52,8 @@ _INF = np.inf
 
 # --------------------------------------------------------------- numba bodies
 #
-# The bodies are written in plain-loop style so they compile under nopython
-# mode; without Numba they are never called (the NumPy fallbacks below are).
+# The body is written in plain-loop style so it compiles under nopython
+# mode; without Numba it is never called (the NumPy fallback below is).
 
 
 @_njit(cache=True)
@@ -90,35 +91,6 @@ def _offer_rows_numba(D, live, width, ids, top_d, top_i, thr):  # pragma: no cov
                 if top_d[q, k - 1] < t:
                     t = top_d[q, k - 1]
         thr[q] = t
-
-
-@_njit(cache=True)
-def _scan_leaf_numba(points, start, end, query, ids, top_d, top_i, q, thr):  # pragma: no cover
-    """Scalar leaf scan for one query: fused |dot| + top-k insertion.
-
-    Returns the updated threshold.  ``points`` is the leaf-ordered point
-    matrix, ``ids`` the matching point-id permutation.
-    """
-    d = query.shape[0]
-    k = top_d.shape[1]
-    t = thr
-    for row in range(start, end):
-        acc = 0.0
-        for col in range(d):
-            acc += points[row, col] * query[col]
-        if acc < 0.0:
-            acc = -acc
-        if acc <= t:  # <=: see _offer_rows_numba on warm-start thresholds
-            pos = k - 1
-            while pos > 0 and top_d[q, pos - 1] > acc:
-                top_d[q, pos] = top_d[q, pos - 1]
-                top_i[q, pos] = top_i[q, pos - 1]
-                pos -= 1
-            top_d[q, pos] = acc
-            top_i[q, pos] = ids[row]
-            if top_d[q, k - 1] < t:
-                t = top_d[q, k - 1]
-    return t
 
 
 # -------------------------------------------------------------- numpy bodies
@@ -172,31 +144,12 @@ def _offer_rows_numpy(D, live, width, ids, top_d, top_i, thr):
     thr[rows] = np.minimum(thr[rows], top_d[rows, k - 1])
 
 
-def _scan_leaf_numpy(points, start, end, query, ids, top_d, top_i, q, thr):
-    """NumPy fallback of :func:`_scan_leaf_numba`: slice GEMV + one merge."""
-    k = top_d.shape[1]
-    distances = np.abs(points[start:end] @ query)
-    mask = distances <= thr  # <=: see _offer_rows_numpy
-    if not mask.any():
-        return thr
-    comb_d = np.concatenate([top_d[q], np.where(mask, distances, _INF)])
-    comb_i = np.concatenate([top_i[q], ids[start:end]])
-    part = np.argpartition(comb_d, k - 1)[:k]
-    vals = comb_d[part]
-    order = np.argsort(vals, kind="stable")
-    top_d[q] = vals[order]
-    top_i[q] = comb_i[part][order]
-    return min(thr, float(top_d[q, k - 1]))
-
-
 # ------------------------------------------------------------------ dispatch
 
 if NUMBA_AVAILABLE:  # pragma: no cover - numba CI leg only
     offer_rows = _offer_rows_numba
-    scan_leaf = _scan_leaf_numba
 else:
     offer_rows = _offer_rows_numpy
-    scan_leaf = _scan_leaf_numpy
 
 
 def kernel_backend() -> str:

@@ -25,16 +25,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import BallTree, BCTree, KDTree, LinearScan, NHIndex, RPTree
+from repro import (
+    BallTree,
+    BCTree,
+    DynamicP2HIndex,
+    KDTree,
+    LinearScan,
+    NHIndex,
+    PartitionedP2HIndex,
+    RPTree,
+)
 from repro.api import SearchOptions, Searcher, build_index
 from repro.api.persistence import (
     load_index,
     save_index,
     saved_storage_dtype,
 )
+from repro.core.best_first import BestFirstSearcher
+from repro.core.distances import normalize_query
+from repro.core.mips import BallTreeMIPS
 from repro.core.results import TopKCollector
 from repro.engine import kernels
 from repro.engine.batch import kernel_dispatch_path
+from repro.engine.budget import resolve_budget
+from repro.engine.fast import SCALAR_GROUP_CUTOFF, FastTreeKernel
 from repro.eval.metrics import epsilon_recall, recall_at_k
 
 TREE_FAMILIES = {
@@ -91,6 +105,26 @@ def _assert_fast_matches_oracle(exact_results, fast_results, index):
         assert len(fast_r.indices) == len(exact_r.indices)
         # Returned ids must be real, distinct points.
         assert len(set(int(i) for i in fast_r.indices)) == len(fast_r.indices)
+
+
+def _leaf_sizes(index):
+    """Point counts of the index's non-empty leaves."""
+    tree = index.tree
+    is_leaf = tree.left_child == -1
+    sizes = tree.end[is_leaf] - tree.start[is_leaf]
+    return sizes[sizes > 0]
+
+
+def _assert_real_answers(index, query, result, k):
+    """Distinct ids, ascending distances, each its point's own distance."""
+    assert len(result.indices) <= k
+    assert len(set(result.indices.tolist())) == len(result.indices)
+    assert np.all(np.diff(result.distances) >= 0.0)
+    normalized = normalize_query(query)
+    true = np.abs(index.points[result.indices] @ normalized)
+    # the offset coordinate can make ||q|| exceed 1 after normalization
+    tolerance = _fast_tolerance(index) * float(np.linalg.norm(normalized))
+    np.testing.assert_allclose(result.distances, true, rtol=0.0, atol=tolerance)
 
 
 # ----------------------------------------------------------- option parsing
@@ -171,6 +205,65 @@ class TestDispatchPath:
             with pytest.raises(TypeError, match="exact"):
                 index.search(query, 5, exact=False)
 
+    def test_dispatch_rejects_fast_mode_without_a_fast_tier(self):
+        points = _clustered(200)
+        tree = BCTree(leaf_size=32, random_state=0).fit(points)
+        for index in (
+            LinearScan().fit(points),
+            NHIndex(num_tables=4, random_state=0).fit(points),
+            BestFirstSearcher(tree),
+        ):
+            with pytest.raises(TypeError, match="exact"):
+                kernel_dispatch_path(index, exact=False)
+            with pytest.raises(TypeError, match="exact"):
+                index.batch_search(_queries(points, 3), k=5, exact=False)
+
+    def test_mips_rejects_fast_mode_like_its_batch_search(self):
+        points = _clustered(200)
+        index = BallTreeMIPS(leaf_size=32, random_state=0).fit(points)
+        queries = np.random.default_rng(3).normal(size=(3, points.shape[1]))
+        assert kernel_dispatch_path(index) == "kernel"
+        with pytest.raises(TypeError, match="exact"):
+            index.batch_search(queries, k=5, exact=False)
+        with pytest.raises(TypeError, match="exact"):
+            kernel_dispatch_path(index, exact=False)
+
+    @pytest.mark.parametrize("composite", ["dynamic", "partitioned"])
+    def test_composites_report_their_trees_fast_kernel(
+        self, composite, monkeypatch
+    ):
+        points = _clustered(300)
+        if composite == "dynamic":
+            index = DynamicP2HIndex(random_state=0)
+            index.insert(points)
+        else:
+            index = PartitionedP2HIndex(num_partitions=2, random_state=0)
+            index.fit(points)
+        blocks = []
+        search_block = FastTreeKernel.search_block
+
+        def spy(kernel, matrix, k, **options):
+            blocks.append(matrix.shape[0])
+            return search_block(kernel, matrix, k, **options)
+
+        monkeypatch.setattr(FastTreeKernel, "search_block", spy)
+        queries = _queries(points, 3)
+        assert kernel_dispatch_path(index) == "kernel"
+        index.batch_search(queries, k=5)
+        assert blocks == []
+        assert kernel_dispatch_path(index, exact=False) == "fast-gemm"
+        index.batch_search(queries, k=5, exact=False)
+        # the dynamic index's static tree, or each of the two shards
+        assert blocks == [3] * (1 if composite == "dynamic" else 2)
+
+    def test_dynamic_path_follows_its_static_tree(self):
+        points = _clustered(100)
+        index = DynamicP2HIndex(random_state=0, auto_rebuild=False)
+        index.insert(points)
+        assert kernel_dispatch_path(index, exact=False) == "kernel"
+        index.rebuild()
+        assert kernel_dispatch_path(index, exact=False) == "fast-gemm"
+
     def test_profile_plus_fast_rejected_at_search(self):
         points = _clustered(200)
         index = BallTree(leaf_size=32, random_state=0).fit(points)
@@ -234,27 +327,6 @@ class TestKernelPrimitives:
         assert top_i[0, 0] == 0
         assert top_i[0, 1] == -1  # 0.9 > thr stays out
         assert thr[0] == 0.5  # min-clamped: +inf k-th slot didn't loosen it
-
-    def test_scan_leaf_matches_collector(self):
-        rng = np.random.default_rng(9)
-        points = rng.normal(size=(30, 6))
-        query = rng.normal(size=6)
-        query /= np.linalg.norm(query)
-        ids = rng.permutation(30).astype(np.int64)
-        k = 5
-        top_d = np.full((1, k), np.inf)
-        top_i = np.full((1, k), -1, dtype=np.int64)
-        thr = kernels._scan_leaf_numpy(
-            points, 3, 27, query, ids, top_d, top_i, 0, np.inf
-        )
-        collector = TopKCollector(k)
-        for row in range(3, 27):
-            collector.offer(
-                int(ids[row]), float(abs(points[row] @ query))
-            )
-        expected_d = collector.to_result().distances
-        np.testing.assert_allclose(top_d[0], expected_d)
-        assert thr == top_d[0, k - 1]
 
     def test_backend_reports(self):
         assert kernels.kernel_backend() in ("numba", "numpy")
@@ -323,6 +395,20 @@ class TestFastRecall:
             assert len(fast_r.indices) <= len(exact_r.indices)
             assert np.all(np.diff(fast_r.distances) >= -1e-12)
 
+    @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
+    def test_one_row_budget_overshoots_at_most_one_leaf(self, family):
+        points = _clustered(600)
+        queries = _queries(points, 6)
+        index = TREE_FAMILIES[family](32).fit(points)
+        largest = int(_leaf_sizes(index).max())
+        for budget in (1, 10, 33, 100, 250):
+            for query in queries:
+                result = index.search(
+                    query, 8, exact=False, max_candidates=budget
+                )
+                assert result.stats.candidates_verified <= budget + largest
+                _assert_real_answers(index, query, result, 8)
+
     def test_sequential_scan_mode_runs_fast_kernel(self):
         points = _clustered(500)
         queries = _queries(points, 16)
@@ -332,6 +418,57 @@ class TestFastRecall:
         exact_batch = index.batch_search(queries, k=8)
         fast_batch = index.batch_search(queries, k=8, exact=False)
         _assert_fast_matches_oracle(exact_batch, fast_batch, index)
+
+
+class TestLeafSweep:
+    """The finisher: one leaf sweep per query of a small group."""
+
+    @staticmethod
+    def _spy_sweeps(monkeypatch):
+        swept = []
+        sweep = FastTreeKernel._sweep
+
+        def spy(kernel, leaves, *args):
+            swept.append(leaves.shape[0])
+            return sweep(kernel, leaves, *args)
+
+        monkeypatch.setattr(FastTreeKernel, "_sweep", spy)
+        return swept
+
+    @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
+    def test_one_row_search_is_one_sweep_of_every_leaf(
+        self, family, monkeypatch
+    ):
+        points = _clustered(500)
+        queries = _queries(points, 5)
+        index = TREE_FAMILIES[family](16).fit(points)
+        num_leaves = _leaf_sizes(index).shape[0]
+        swept = self._spy_sweeps(monkeypatch)
+        for query in queries:
+            result = index.search(query, 7, exact=False)
+            # every leaf's bound is read; no node is expanded
+            assert result.stats.nodes_visited == num_leaves
+            assert result.stats.leaves_scanned <= num_leaves
+            if family != "kd":
+                assert result.stats.center_inner_products == 1
+        assert swept == [num_leaves] * len(queries)
+
+    @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
+    def test_mid_tree_hand_off_keeps_epsilon_recall(
+        self, family, monkeypatch
+    ):
+        points = _clustered(800)
+        queries = _queries(points, 8)
+        index = TREE_FAMILIES[family](4).fit(points)
+        exact = [index.search(query, 6) for query in queries]
+        swept = self._spy_sweeps(monkeypatch)
+        batch = index.batch_search(queries, k=6, exact=False)
+        # The block is above the cutoff, so the root group runs the group
+        # DFS; the sweeps come from the small groups it handed off, at
+        # most one per query.
+        assert len(queries) > SCALAR_GROUP_CUTOFF
+        assert 1 <= len(swept) <= len(queries)
+        _assert_fast_matches_oracle(exact, batch, index)
 
 
 # ------------------------------------------- exact-path bit-identity guard
@@ -495,11 +632,21 @@ coords = st.floats(-8.0, 8.0, width=16)
 
 
 @st.composite
-def fast_problems(draw):
-    """Random (points, queries, k, leaf_size) for the fast-mode property."""
+def fast_problems(draw, with_options=False):
+    """Random (points, queries, k, leaf_size) for the fast-mode property.
+
+    The draws include the shapes the finisher's leaf sweep must handle:
+    k above the leaf size (its seed then verifies several leaves), k at
+    or above n, ``leaf_size=1`` and duplicate rows.  ``with_options=True``
+    appends one fast-mode option dict: a ``max_candidates`` or
+    ``candidate_fraction`` budget, or ``dtype="float64"``.
+    """
     n = draw(st.integers(min_value=4, max_value=60))
     dim = draw(st.integers(min_value=2, max_value=6))
     points = draw(hnp.arrays(np.float64, (n, dim), elements=coords))
+    duplicates = draw(st.integers(min_value=0, max_value=n // 2))
+    if duplicates:
+        points[n - duplicates:] = points[:duplicates]
     num_queries = draw(st.integers(min_value=1, max_value=5))
     queries = draw(
         hnp.arrays(
@@ -511,9 +658,20 @@ def fast_problems(draw):
     for row in queries:
         if float(np.linalg.norm(row[:-1])) <= 0.0:
             row[0] = 1.0
-    k = draw(st.integers(min_value=1, max_value=12))
-    leaf_size = draw(st.integers(min_value=2, max_value=24))
-    return points, queries, k, leaf_size
+    k = draw(st.integers(min_value=1, max_value=n + 2))
+    leaf_size = draw(st.integers(min_value=1, max_value=24))
+    if not with_options:
+        return points, queries, k, leaf_size
+    option = draw(
+        st.sampled_from(["max_candidates", "candidate_fraction", "dtype"])
+    )
+    if option == "max_candidates":
+        options = {"max_candidates": draw(st.integers(1, n))}
+    elif option == "candidate_fraction":
+        options = {"candidate_fraction": draw(st.floats(0.01, 1.0))}
+    else:
+        options = {"dtype": "float64"}
+    return points, queries, k, leaf_size, options
 
 
 class TestFastModeProperties:
@@ -539,3 +697,29 @@ class TestFastModeProperties:
             np.testing.assert_array_equal(b.distances, a.distances)
             for field in STAT_FIELDS:
                 assert getattr(b.stats, field) == getattr(a.stats, field)
+
+    @given(
+        data=fast_problems(with_options=True),
+        family=st.sampled_from(sorted(TREE_FAMILIES)),
+    )
+    def test_fast_options_keep_their_contract(self, data, family):
+        points, queries, k, leaf_size, options = data
+        index = TREE_FAMILIES[family](leaf_size).fit(points)
+        rows = [index.search(q, k, exact=False, **options) for q in queries]
+        batch = index.batch_search(queries, k=k, exact=False, **options)
+        if "dtype" in options:
+            exact_results = [index.search(q, k) for q in queries]
+            _assert_fast_matches_oracle(exact_results, rows, index)
+            _assert_fast_matches_oracle(exact_results, batch, index)
+            return
+        # A budget may stop a search short, but never past one leaf.
+        budget = resolve_budget(
+            options.get("candidate_fraction"),
+            options.get("max_candidates"),
+            index.num_points,
+        )
+        largest = int(_leaf_sizes(index).max())
+        for query, row, batch_row in zip(queries, rows, batch):
+            for result in (row, batch_row):
+                _assert_real_answers(index, query, result, k)
+                assert result.stats.candidates_verified <= budget + largest

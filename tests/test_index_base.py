@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import BallTree, BCTree, BranchPreference, LinearScan, NotFittedError
-from repro.core.distances import augment_points
+from repro.core.distances import augment_points, normalize_query
 
 
 class TestFitValidation:
@@ -83,6 +83,18 @@ class TestSearchValidation:
         unscaled = raw_tree.search(query, k=1).distances[0]
         norm = np.linalg.norm(query[:-1])
         assert unscaled == pytest.approx(scaled * norm, rel=1e-9)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    def test_prepared_block_equals_row_by_row_vstack(self, gaussian_blob, rows):
+        index = LinearScan().fit(gaussian_blob)
+        rng = np.random.default_rng(rows)
+        for scale in (1e-3, 1.0, 1e4):
+            block = np.ascontiguousarray(rng.normal(size=(rows, 9)) * scale)
+            expected = np.vstack([normalize_query(row) for row in block])
+            got = index._prepare_query_matrix(block)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert got is not block
 
 
 class TestBatchSearch:
