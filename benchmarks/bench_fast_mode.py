@@ -1,15 +1,16 @@
-"""Fast mode — float32 storage + cross-query GEMM vs the exact block kernel.
+"""Fast mode — float32 storage and one leaf admission rule vs the exact
+block kernel.
 
 The exact block kernel (:mod:`repro.engine.block`) is bound by its
 bit-identity contract: no cross-query GEMM may feed a pruning decision, so
 every leaf event runs per-query GEMVs and per-candidate Python-level top-k
 offers.  The fast mode (:mod:`repro.engine.fast`) drops that contract —
-float32 leaf-ordered storage, one eager ``centers @ Q`` GEMM for all node
-bounds, batched cross-query leaf GEMMs, and compiled (Numba, with NumPy
-fallback) top-k kernels — in exchange for an approximation budget of a few
+float32 leaf-ordered storage, leaves admitted by their own bounds, GEMV
+sweeps per row in blocks of at most ``ROW_SWEEP_LIMIT`` rows and
+leaf-major GEMMs above — in exchange for an approximation budget of a few
 float32 ulps at the hyperplane.
 
-Three tests:
+Four tests:
 
 * the speedup floor pits ``FastTreeKernel.search_block`` directly against
   the exact ``BlockTraversalKernel.search_block`` (same engine, same
@@ -24,7 +25,11 @@ Three tests:
   one-row ``search(q)`` for every family — the per-query path the server
   and the cluster take for ``exact=False`` — asserts epsilon-recall 1.0,
   and at full scale asserts BC-Tree's one-row fast search is at least as
-  fast as its one-row exact search.
+  fast as its one-row exact search;
+* the rows-per-block leg cuts the same queries into blocks of 1 to 256
+  rows, on both sides of ``ROW_SWEEP_LIMIT``, and records fast mode's
+  ms/q at each height for BC-Tree and Ball-Tree.  It asserts
+  epsilon-recall 1.0 and no speed floor.
 
 Tiny smoke sizes (CI) only enforce a sanity floor on the speedup: the
 GEMM amortization needs real tree depth and leaf width to show, and
@@ -73,6 +78,11 @@ ONE_ROW_QUERIES = 200
 #: Required speed of BC-Tree's one-row fast search over its one-row exact
 #: search at full scale (>= 4000 points).
 ONE_ROW_FLOOR = 1.0
+
+#: Queries of the rows-per-block leg, cut into blocks of each height; the
+#: heights straddle ``repro.engine.fast.ROW_SWEEP_LIMIT`` (64).
+BLOCK_HEIGHT_QUERIES = 512
+BLOCK_HEIGHTS = (1, 8, 64, 65, 256)
 
 
 def _floor_workload():
@@ -334,4 +344,81 @@ def test_fast_mode_one_row_all_families(results_dir):
         f"BC-Tree one-row fast search ({bc['fast_ms_per_query']:.3f} ms/q) "
         f"is only {bc['fast_speed_over_exact']:.2f}x its one-row exact "
         f"search ({bc['exact_ms_per_query']:.3f} ms/q); expected >= {floor}x"
+    )
+
+
+def test_fast_mode_rows_per_block(results_dir):
+    """Fast ``batch_search`` ms/q by rows per block, BC-Tree and Ball-Tree.
+
+    Every height answers the same queries; the heights take turns inside
+    each round, and each keeps its best round.  Blocks of at most 64 rows
+    run per-row sweeps, taller ones the leaf-major passes.
+    """
+    num_points, points, queries = _floor_workload()
+    queries = queries[:BLOCK_HEIGHT_QUERIES]
+    records = []
+    for name in ("BC-Tree", "Ball-Tree"):
+        index = _families()[name].fit(points)
+        exact = index.batch_search(queries, k=K)
+        max_norm = float(np.max(np.linalg.norm(index.points, axis=1)))
+        seconds = dict.fromkeys(BLOCK_HEIGHTS, float("inf"))
+        answers = {}
+        for _ in range(3):
+            for height in BLOCK_HEIGHTS:
+                tic = time.perf_counter()
+                rows = []
+                for start in range(0, len(queries), height):
+                    rows.extend(
+                        index.batch_search(
+                            queries[start: start + height], k=K, exact=False
+                        )
+                    )
+                seconds[height] = min(
+                    seconds[height], time.perf_counter() - tic
+                )
+                answers[height] = rows
+        for height in BLOCK_HEIGHTS:
+            _, eps_recall = _recall_vs_exact(
+                exact, answers[height], dim=index.dim, max_point_norm=max_norm
+            )
+            records.append(
+                {
+                    "method": name,
+                    "rows_per_block": height,
+                    "num_queries": len(queries),
+                    "fast_ms_per_query": seconds[height] * 1000.0
+                    / len(queries),
+                    "epsilon_recall": eps_recall,
+                }
+            )
+            assert eps_recall == 1.0, (
+                f"{name}: {height}-row blocks reached epsilon recall "
+                f"{eps_recall:.5f} < 1.0"
+            )
+
+    print()
+    print_and_save(
+        records,
+        list(records[0]),
+        title="Fast mode: ms/q by rows per block",
+        json_path=results_dir / "fast_mode_rows_per_block.json",
+    )
+    emit_bench_json(
+        "fast_mode",
+        test="test_fast_mode_rows_per_block",
+        config={
+            "num_points": num_points,
+            "num_queries": len(queries),
+            "leaf_size": FAMILY_LEAF_SIZE,
+            "k": K,
+            "rows_per_block": list(BLOCK_HEIGHTS),
+            "backend": kernel_backend(),
+        },
+        metrics={
+            "{}_{}_rows_ms_per_query".format(
+                r["method"].lower().replace("-", "_"), r["rows_per_block"]
+            ): r["fast_ms_per_query"]
+            for r in records
+        },
+        records=records,
     )

@@ -63,9 +63,10 @@ class SearchOptions:
     exact:
         True (default) runs the bit-exact engine.  False opts into the
         approximate fast mode on the tree families: reduced-precision
-        storage, cross-query GEMM bounds/verification, and compiled
-        top-k/leaf kernels, holding recall@k >= 0.999 against the exact
-        oracle (see :mod:`repro.engine.fast`).
+        storage and leaves admitted by their own bounds, verified with
+        per-row GEMVs in blocks of at most 64 rows and with GEMMs above,
+        holding recall@k >= 0.999 against the exact oracle (see
+        :mod:`repro.engine.fast`).
     dtype:
         Storage dtype for the fast mode (``"float32"``, the default when
         ``exact=False``, or ``"float64"``).  Only meaningful with

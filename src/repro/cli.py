@@ -12,7 +12,7 @@ writing code:
   composites and the MIPS adapter need programmatic configuration and stay
   library-only), printing recall and timing against the exact linear scan.
   ``--fast`` opts the tree indexes into the approximate fast mode
-  (``exact=False``: float32 storage plus cross-query GEMM kernels).
+  (``exact=False``: float32 storage, leaves admitted by their bounds).
 * ``python -m repro cluster`` — serve a cluster directory (or split a
   saved partitioned payload into one with ``--out``) as a multi-process
   scatter-gather deployment: one shard server per manifest entry plus
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the approximate fast mode (exact=False): float32 storage "
-            "with cross-query GEMM kernels; tree indexes only"
+            "with leaves admitted by their bounds; tree indexes only"
         ),
     )
     search_parser.add_argument(

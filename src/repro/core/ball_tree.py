@@ -160,7 +160,8 @@ class BallTree(LeafStoredPointsMixin, P2HIndex):
         block runs on the exact block traversal kernel
         (:mod:`repro.engine.block`); with ``exact=False`` on the
         approximate fast-mode kernel (:mod:`repro.engine.fast`) in the
-        requested storage ``dtype`` (float32 by default).
+        requested storage ``dtype`` (float32 by default), which admits
+        leaves in bound order, so ``branch_preference`` has no effect there.
         """
         budget = self._resolve_budget(candidate_fraction, max_candidates)
         if not exact:
@@ -171,7 +172,7 @@ class BallTree(LeafStoredPointsMixin, P2HIndex):
             # repro: allow[REP102] exact=False hand-off to the fast tier;
             # the literal names its default storage dtype.
             return self._engine().fast_kernel(dtype or "float32").search_block(
-                matrix, k, preference=branch_preference, budget=budget
+                matrix, k, budget=budget
             )
         if dtype is not None:
             raise ValueError(

@@ -31,6 +31,7 @@ adds ``insert`` / ``delete`` / ``rebuild``.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.core.factories import DefaultBCTreeFactory
 from repro.core.index_base import NotFittedError, P2HIndex
 from repro.core.results import SearchResult, SearchStats, TopKCollector
 from repro.engine.batch import BatchSearchResult, execute_batch
+from repro.engine.block import attach_block_timing
 from repro.storage import combined_storage_header
 from repro.utils.persistence import dump_index_payload, load_typed_index
 from repro.utils.validation import check_points_matrix, check_query_vector
@@ -71,7 +73,9 @@ class DynamicP2HIndex:
     batches are bit-identical to sequential ``search`` for every
     ``n_jobs``.  Fast batches (``exact=False``) follow the tree families'
     fast contract: the static index's fast kernel sees the whole block, so
-    a row's answer may depend on its block-mates, and it stays within
+    in a block of at most :data:`repro.engine.fast.ROW_SWEEP_LIMIT` rows a
+    row answers exactly as its one-row ``search`` does, while above that
+    a row may depend on its block-mates; either way it stays within
     :func:`repro.eval.epsilon_recall` 1.0 of the exact answer.
 
     Examples
@@ -236,12 +240,14 @@ class DynamicP2HIndex:
     ) -> List[SearchResult]:
         """Answer a query block: the static index's kernel plus the buffer.
 
-        The static index answers the whole block in one kernel call at
-        the margin fetch size (:meth:`_search_static`).  Every row then
-        scores the live buffer rows, gathered once per block, with its own
-        GEMV — the same product a one-row search computes, so each row's
-        answer does not depend on its block-mates.
+        The block is normalized once, row by row.  The static index
+        answers those rows in one ``_block_search`` call at the margin
+        fetch size (:meth:`_search_static`), and every row then scores the
+        live buffer rows, gathered once per block, with its own GEMV over
+        the same normalized row — the product a one-row search computes,
+        so each row's buffer answer does not depend on its block-mates.
         """
+        wall_tic = time.perf_counter()
         if self.num_points == 0:
             raise NotFittedError("the dynamic index contains no points")
         if k < 1:
@@ -252,7 +258,9 @@ class DynamicP2HIndex:
                 f"query must have dimension {self.dim + 1}, "
                 f"got {queries.shape[1]}"
             )
-        matrix = np.vstack([normalize_query(row) for row in queries])
+        matrix = np.empty(queries.shape)
+        for row, query in enumerate(queries):
+            matrix[row] = normalize_query(query)
         stats = [SearchStats() for _ in range(matrix.shape[0])]
         collectors = [TopKCollector(k) for _ in range(matrix.shape[0])]
         for collector, (ids, distances) in zip(
@@ -271,10 +279,12 @@ class DynamicP2HIndex:
                 collector.offer_batch(ids, distances)
                 row_stats.candidates_verified += int(distances.size)
 
-        return [
+        results = [
             collector.to_result(row_stats)
             for collector, row_stats in zip(collectors, stats)
         ]
+        attach_block_timing(results, time.perf_counter() - wall_tic)
+        return results
 
     def _kernel_indexes(self) -> List[P2HIndex]:
         """The indexes whose kernel :meth:`_batch_kernel` calls: the static
@@ -302,7 +312,7 @@ class DynamicP2HIndex:
         if self._static_dead:
             margin = (k * self._static_dead + live - 1) // live + 1
             fetch = min(full, k + margin)
-        kernel = self._static_index._batch_kernel
+        kernel = self._static_index._block_search
         results = kernel(matrix, fetch, **search_kwargs)
         if fetch < full:
             short = [

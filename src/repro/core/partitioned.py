@@ -365,13 +365,29 @@ class PartitionedP2HIndex:
         collector in :meth:`search` makes, with a per-row collector
         fallback for ties at the top-k boundary).
         """
+        return self._merged_shard_rows(
+            "_batch_kernel", queries, k, search_kwargs
+        )
+
+    def _block_search(
+        self, matrix: np.ndarray, k: int, **search_kwargs
+    ) -> List[SearchResult]:
+        """Answer an already-normalized block (what a dynamic composite
+        over this index calls): every shard's ``_block_search``, then the
+        same block merge as :meth:`_batch_kernel`."""
+        return self._merged_shard_rows(
+            "_block_search", matrix, k, search_kwargs
+        )
+
+    def _merged_shard_rows(self, entry, queries, k, search_kwargs):
+        """Call every shard's ``entry`` kernel on the block and merge."""
         self._check_fitted()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k = min(int(k), self.num_points)
         shard_batches = []
         for sub_index, ids in zip(self.shards, self.shard_point_ids):
-            rows = sub_index._batch_kernel(
+            rows = getattr(sub_index, entry)(
                 queries, min(k, int(ids.size)), **search_kwargs
             )
             shard_batches.append(

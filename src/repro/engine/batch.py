@@ -167,8 +167,9 @@ def kernel_dispatch_path(index, **search_kwargs) -> str:
     """Which kernel :func:`execute_batch` will run for these options.
 
     Returns ``"fast-gemm"`` when the options select the approximate
-    fast-mode kernel (``exact=False`` on a tree index — float32 storage
-    plus cross-query GEMM, :mod:`repro.engine.fast`), and ``"kernel"``
+    fast-mode kernel (``exact=False`` on a tree index — float32 storage,
+    GEMV sweeps per row up to 64 rows and GEMMs above,
+    :mod:`repro.engine.fast`), and ``"kernel"``
     for every other configuration (the exact block traversal kernel, the
     hashing baselines' block kernels and the per-row default kernel).
     A composite answers with the kernels of the indexes its own kernel

@@ -340,7 +340,7 @@ class TraversalEngine:
 
         Unlike :meth:`block_kernel`, the fast kernel is **not** bound by
         the bit-identity contract: it computes in the reduced-precision
-        storage dtype with cross-query GEMMs — see
+        storage dtype, with GEMMs across the rows of a tall block — see
         :mod:`repro.engine.fast` for the approximation contract.
         """
         # repro: allow[REP101] lazy import inside the opt-in fast-mode entry

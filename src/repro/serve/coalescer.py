@@ -17,11 +17,12 @@ its requests by option signature and runs one ``batch_search`` per group;
 options therefore ride the existing per-task payloads of the warm pool,
 and mixed-option traffic coalesces within — never across — option groups.
 One deliberate exception: ``exact=False`` (fast mode) groups execute **per
-query**, because the fast kernel's cross-query GEMM bounds depend on the
-batch's shape — batching would change which candidates are verified and
-break the bit-identity contract.  Only the exact engine, whose batch
-results are pinned bit-identical to per-query results for every family,
-is allowed to answer a multi-query flush.
+query**.  The fast kernel answers a row of a block of at most 64 rows
+exactly as its one-row search, but a flush may hold more requests
+(``max_batch`` is settable), and a taller block's GEMMs round a row by
+its block-mates — batching it would break the bit-identity contract.
+Only the exact engine, whose batch results are pinned bit-identical to
+per-query results for every family, answers a multi-query flush.
 
 Execution happens through a pluggable **backend**.  The default
 :class:`SearcherBackend` runs option-groups on a single dedicated compute

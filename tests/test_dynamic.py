@@ -231,9 +231,10 @@ class TestAccessorsAndValidation:
 
 
 class TestBlockKernel:
-    """``batch_search`` answers a block with one static kernel call at the
-    margin fetch size, one more for the rows that ran short, and a
-    per-row GEMV over the live buffer rows."""
+    """``batch_search`` normalizes a block once and answers it with one
+    static ``_block_search`` call at the margin fetch size, one more for
+    the rows that ran short, and a per-row GEMV over the live buffer
+    rows."""
 
     K = 5
 
@@ -269,14 +270,7 @@ class TestBlockKernel:
         ]
         assert set(range(4)) <= set(short) and len(short) < len(queries)
 
-        calls = []
-        original = static._batch_kernel
-
-        def spy(block, k, **options):
-            calls.append((block.copy(), k))
-            return original(block, k, **options)
-
-        monkeypatch.setattr(static, "_batch_kernel", spy)
+        calls = self._spy_static(monkeypatch, static)
         batch = index.batch_search(queries, k=self.K)
         assert [k for _, k in calls] == [fetch, self.K + dead]
         assert calls[0][0].shape[0] == len(queries)
@@ -292,6 +286,34 @@ class TestBlockKernel:
                 assert getattr(got.stats, field) == getattr(
                     expected.stats, field
                 )
+
+    @staticmethod
+    def _spy_static(monkeypatch, static):
+        """Record every block and ``k`` the static index is asked for."""
+        calls = []
+        original = static._block_search
+
+        def spy(block, k, **options):
+            calls.append((block.copy(), k))
+            return original(block, k, **options)
+
+        monkeypatch.setattr(static, "_block_search", spy)
+        return calls
+
+    def test_static_index_receives_the_once_normalized_rows(
+        self, monkeypatch
+    ):
+        """The static index ranks the same normalized rows the buffer
+        GEMVs use: normalizing a normalized row again can move its bits."""
+        index, _, queries = self._mixed_state()
+        normalized = np.vstack([normalize_query(q) for q in queries])
+        assert any(
+            not np.array_equal(normalize_query(row), row) for row in normalized
+        )
+        calls = self._spy_static(monkeypatch, index._static_index)
+        index.batch_search(queries, k=self.K, exact=False)
+        assert calls[0][0].shape == normalized.shape
+        assert calls[0][0].tobytes() == normalized.tobytes()
 
     def test_fast_batches_within_epsilon_of_exact(self):
         """``exact=False`` follows the tree families' fast contract: with

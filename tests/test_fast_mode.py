@@ -1,11 +1,13 @@
 """Fast search mode (``exact=False``): recall guarantee, exact-path
-bit-identity, option validation, kernel parity, dispatch, persistence.
+bit-identity, row invariance, option validation, dispatch, persistence.
 
 The fast mode trades the engine's bit-identity contract for throughput:
-float32 storage, one cross-query GEMM per node-bound table, batched leaf
-verification, and compiled (or NumPy-fallback) top-k kernels.  Its
-*correctness* contract is therefore different in kind from the exact
-path's, and this suite pins both sides of the line:
+float32 storage and one leaf admission rule (each leaf's own bound, a
+seed, then the first quarter and the rest of the admitted leaves),
+verified one row at a time (GEMVs) in blocks of at most
+``ROW_SWEEP_LIMIT`` rows and leaf-major (GEMMs) above.  Its *correctness*
+contract is therefore different in kind from the exact path's, and this
+suite pins both sides of the line:
 
 * fast results must stay within a float32-cancellation epsilon of the
   exact oracle (property-based, all four tree families, adversarial
@@ -14,10 +16,11 @@ path's, and this suite pins both sides of the line:
 * the exact path must remain byte-for-byte untouched — same indices,
   distances, and ``SearchStats`` — before, during, and after fast-mode
   use of the same index, for every pool size;
-* fast-mode results are **not** promised to be chunking-invariant across
-  ``n_jobs`` (the shared-frontier majority vote depends on group
-  composition), so nothing here asserts bitwise equality between fast
-  runs — only recall against the oracle.
+* a row of a block of at most ``ROW_SWEEP_LIMIT`` rows answers exactly
+  as its one-row ``search`` does — ids, distance bytes and counters —
+  whatever its block-mates and position (``TestRowInvariance``; CI also
+  runs it on a second OpenBLAS kernel).  Taller blocks promise recall
+  only: their GEMMs round a row by its block-mates.
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ from repro.api.persistence import (
 from repro.core.best_first import BestFirstSearcher
 from repro.core.distances import normalize_query
 from repro.core.mips import BallTreeMIPS
-from repro.core.results import TopKCollector
-from repro.engine import kernels
+from repro.engine import fast
 from repro.engine.batch import kernel_dispatch_path
 from repro.engine.budget import resolve_budget
-from repro.engine.fast import SCALAR_GROUP_CUTOFF, FastTreeKernel
+from repro.engine.fast import ROW_SWEEP_LIMIT, FastTreeKernel
 from repro.eval.metrics import epsilon_recall, recall_at_k
 
 TREE_FAMILIES = {
@@ -274,67 +276,6 @@ class TestDispatchPath:
             index.search(query, 5, dtype="float32")
 
 
-# ------------------------------------------------------- kernel primitives
-
-
-class TestKernelPrimitives:
-    def _reference_topk(self, k, entries):
-        """Brute-force top-k (distance multiset) from (distance, id) pairs."""
-        entries = sorted(entries)[:k]
-        return [d for d, _ in entries]
-
-    def test_offer_rows_matches_collector(self):
-        rng = np.random.default_rng(5)
-        B, k = 7, 4
-        top_d = np.full((B, k), np.inf)
-        top_i = np.full((B, k), -1, dtype=np.int64)
-        thr = np.full(B, np.inf)
-        collectors = [TopKCollector(k) for _ in range(B)]
-        next_id = 0
-        for _ in range(6):
-            g = int(rng.integers(1, B + 1))
-            width = int(rng.integers(1, 9))
-            live = rng.choice(B, size=g, replace=False).astype(np.int64)
-            D = rng.random((g, width))
-            ids = np.arange(next_id, next_id + width, dtype=np.int64)
-            next_id += width
-            kernels._offer_rows_numpy(D, live, width, ids, top_d, top_i, thr)
-            for row, q in enumerate(live):
-                for col in range(width):
-                    collectors[q].offer(int(ids[col]), float(D[row, col]))
-        for q in range(B):
-            expected_d = collectors[q].to_result().distances
-            got = top_d[q][np.isfinite(top_d[q])]
-            np.testing.assert_allclose(np.sort(got), np.sort(expected_d))
-            assert np.all(np.diff(top_d[q]) >= 0)
-            assert thr[q] == top_d[q, k - 1]
-
-    def test_offer_rows_respects_warm_threshold(self):
-        # A warm-start threshold that equals a candidate's distance
-        # exactly must still admit that candidate (<= semantics), and an
-        # unfilled top-k must never loosen the finite threshold back to
-        # +inf.
-        k = 2
-        top_d = np.full((1, k), np.inf)
-        top_i = np.full((1, k), -1, dtype=np.int64)
-        thr = np.array([0.5])
-        D = np.array([[0.5, 0.9]])
-        kernels._offer_rows_numpy(
-            D, np.array([0]), 2, np.arange(2, dtype=np.int64),
-            top_d, top_i, thr,
-        )
-        assert top_d[0, 0] == 0.5
-        assert top_i[0, 0] == 0
-        assert top_i[0, 1] == -1  # 0.9 > thr stays out
-        assert thr[0] == 0.5  # min-clamped: +inf k-th slot didn't loosen it
-
-    def test_backend_reports(self):
-        assert kernels.kernel_backend() in ("numba", "numpy")
-        assert kernels.NUMBA_AVAILABLE == (
-            kernels.kernel_backend() == "numba"
-        )
-
-
 # ------------------------------------------------- fast vs exact (fixed)
 
 
@@ -421,19 +362,20 @@ class TestFastRecall:
 
 
 class TestLeafSweep:
-    """The finisher: one leaf sweep per query of a small group."""
+    """The block height picks the verifier: per-row sweeps up to
+    ``ROW_SWEEP_LIMIT`` rows, the leaf-major passes above."""
 
     @staticmethod
-    def _spy_sweeps(monkeypatch):
-        swept = []
-        sweep = FastTreeKernel._sweep
+    def _spy_runs(monkeypatch):
+        runs = []
+        run = FastTreeKernel._run
 
-        def spy(kernel, leaves, *args):
-            swept.append(leaves.shape[0])
-            return sweep(kernel, leaves, *args)
+        def spy(kernel, Q, k, budget, verifier_cls):
+            runs.append((Q.shape[0], verifier_cls))
+            return run(kernel, Q, k, budget, verifier_cls)
 
-        monkeypatch.setattr(FastTreeKernel, "_sweep", spy)
-        return swept
+        monkeypatch.setattr(FastTreeKernel, "_run", spy)
+        return runs
 
     @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
     def test_one_row_search_is_one_sweep_of_every_leaf(
@@ -443,7 +385,7 @@ class TestLeafSweep:
         queries = _queries(points, 5)
         index = TREE_FAMILIES[family](16).fit(points)
         num_leaves = _leaf_sizes(index).shape[0]
-        swept = self._spy_sweeps(monkeypatch)
+        runs = self._spy_runs(monkeypatch)
         for query in queries:
             result = index.search(query, 7, exact=False)
             # every leaf's bound is read; no node is expanded
@@ -451,24 +393,51 @@ class TestLeafSweep:
             assert result.stats.leaves_scanned <= num_leaves
             if family != "kd":
                 assert result.stats.center_inner_products == 1
-        assert swept == [num_leaves] * len(queries)
+        assert runs == [(1, fast._RowSweeps)] * len(queries)
 
     @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
-    def test_mid_tree_hand_off_keeps_epsilon_recall(
-        self, family, monkeypatch
-    ):
+    def test_block_height_picks_the_verifier(self, family, monkeypatch):
         points = _clustered(800)
-        queries = _queries(points, 8)
+        queries = _queries(points, ROW_SWEEP_LIMIT + 1)
         index = TREE_FAMILIES[family](4).fit(points)
+        num_leaves = _leaf_sizes(index).shape[0]
         exact = [index.search(query, 6) for query in queries]
-        swept = self._spy_sweeps(monkeypatch)
-        batch = index.batch_search(queries, k=6, exact=False)
-        # The block is above the cutoff, so the root group runs the group
-        # DFS; the sweeps come from the small groups it handed off, at
-        # most one per query.
-        assert len(queries) > SCALAR_GROUP_CUTOFF
-        assert 1 <= len(swept) <= len(queries)
-        _assert_fast_matches_oracle(exact, batch, index)
+        runs = self._spy_runs(monkeypatch)
+        swept = index.batch_search(queries[:-1], k=6, exact=False)
+        assert runs == [(ROW_SWEEP_LIMIT, fast._RowSweeps)]
+        leaf_major = index.batch_search(queries, k=6, exact=False)
+        assert runs[1:] == [(ROW_SWEEP_LIMIT + 1, fast._LeafMajor)]
+        _assert_fast_matches_oracle(exact, swept, index)
+        _assert_fast_matches_oracle(exact, leaf_major, index)
+        for result in leaf_major:
+            assert result.stats.nodes_visited == num_leaves
+            assert 1 <= result.stats.leaves_scanned <= num_leaves
+
+    @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
+    def test_leaf_major_budget_overshoots_at_most_one_leaf(self, family):
+        points = _clustered(600)
+        queries = _queries(points, ROW_SWEEP_LIMIT + 1)
+        index = TREE_FAMILIES[family](32).fit(points)
+        largest = int(_leaf_sizes(index).max())
+        for budget in (1, 33, 250):
+            batch = index.batch_search(
+                queries, k=8, exact=False, max_candidates=budget
+            )
+            for query, result in zip(queries, batch):
+                assert result.stats.candidates_verified <= budget + largest
+                _assert_real_answers(index, query, result, 8)
+
+    def test_float64_leaf_major_block_matches_oracle(self):
+        points = _clustered(400)
+        queries = _queries(points, ROW_SWEEP_LIMIT + 1)
+        index = BCTree(leaf_size=32, random_state=0).fit(points)
+        exact_batch = index.batch_search(queries, k=8)
+        fast64 = index.batch_search(queries, k=8, exact=False, dtype="float64")
+        for exact_r, fast_r in zip(exact_batch, fast64):
+            np.testing.assert_allclose(
+                np.sort(fast_r.distances), np.sort(exact_r.distances),
+                rtol=1e-9, atol=1e-12,
+            )
 
 
 # ------------------------------------------- exact-path bit-identity guard
@@ -723,3 +692,81 @@ class TestFastModeProperties:
             for result in (row, batch_row):
                 _assert_real_answers(index, query, result, k)
                 assert result.stats.candidates_verified <= budget + largest
+
+
+def _assert_same_answer(got, want):
+    """Ids, distance bytes and work counters all equal."""
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.distances.tobytes() == want.distances.tobytes()
+    for field in STAT_FIELDS:
+        assert getattr(got.stats, field) == getattr(want.stats, field)
+
+
+class TestRowInvariance:
+    """In a block of at most ``ROW_SWEEP_LIMIT`` rows, a row answers as
+    its one-row ``search(q, exact=False)`` does, whatever its block-mates
+    and its position."""
+
+    @given(
+        data=fast_problems(with_options=True),
+        family=st.sampled_from(sorted(TREE_FAMILIES)),
+        height=st.integers(1, ROW_SWEEP_LIMIT),
+        position=st.integers(0, ROW_SWEEP_LIMIT - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_matches_its_one_row_search(
+        self, data, family, height, position, seed
+    ):
+        points, queries, k, leaf_size, options = data
+        index = TREE_FAMILIES[family](leaf_size).fit(points)
+        block = np.random.default_rng(seed).normal(
+            size=(height, points.shape[1] + 1)
+        )
+        position %= height
+        block[position] = queries[0]
+        got = index.batch_search(block, k=k, exact=False, **options)
+        want = index.search(queries[0], k, exact=False, **options)
+        _assert_same_answer(got[position], want)
+
+    @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
+    def test_rows_match_one_row_search_at_scale(self, family):
+        """Realistic leaf and dimension sizes, where the BLAS kernels take
+        their blocked paths."""
+        rng = np.random.default_rng(29)
+        points = _clustered(3000, dim=40)
+        queries = _queries(points, 160, rng=31)
+        index = TREE_FAMILIES[family](50).fit(points)
+        for target in range(4):
+            want = index.search(queries[target], 10, exact=False)
+            for height in (2, 7, 33, ROW_SWEEP_LIMIT):
+                mates = rng.choice(len(queries), height, replace=False)
+                block = queries[mates]
+                position = int(rng.integers(height))
+                block[position] = queries[target]
+                got = index.batch_search(block, k=10, exact=False)
+                _assert_same_answer(got[position], want)
+
+    @pytest.mark.parametrize("composite", ["dynamic", "partitioned"])
+    def test_composite_rows_match_one_row_search(self, composite):
+        points = _clustered(900, dim=10)
+        queries = _queries(points, ROW_SWEEP_LIMIT)
+        if composite == "dynamic":
+            index = DynamicP2HIndex(
+                index_factory=lambda: BCTree(leaf_size=32, random_state=0),
+                auto_rebuild=False,
+            )
+            ids = index.insert(points[:800])
+            index.rebuild()
+            index.insert(points[800:])
+            index.delete(ids[::7])
+            # the first query's top-k is deleted: its margin fetch runs short
+            index.delete(index.search(queries[0], k=5).indices)
+        else:
+            index = PartitionedP2HIndex(num_partitions=3, random_state=0)
+            index.fit(points)
+        rng = np.random.default_rng(5)
+        for height in (1, 5, ROW_SWEEP_LIMIT):
+            block = queries[rng.choice(len(queries), height, replace=False)]
+            batch = index.batch_search(block, k=5, exact=False)
+            for got, query in zip(batch, block):
+                _assert_same_answer(got, index.search(query, 5, exact=False))
