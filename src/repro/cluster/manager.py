@@ -10,12 +10,22 @@ and :meth:`restart_shard` for crashed shards; while a shard is down the
 router answers descriptive 503s naming it, and service resumes as soon
 as the restart lands.
 
+Shards start together: :meth:`ClusterManager.start` launches every shard
+process before it reads any port, so the shards import and load their
+payloads in parallel, and each gets :data:`SPAWN_TIMEOUT_S` from its own
+launch.  If one fails to start or misses the timeout (it is then killed
+and joined), every launched shard is stopped and the ``RuntimeError``
+names the shard.  :meth:`~ClusterManager.restart_shard` spawns its one
+shard and waits for it.
+
 A restarted shard serves its **on-disk snapshot**: routed inserts and
 deletes applied since the directory was built live only in the shard
 processes, so a crash loses them (the restart re-joins at the current
 snapshot version, keeping reads consistent).  Durable updates are a
 checkpointing concern out of scope here — re-save the shard payloads to
-persist a mutated cluster.
+persist a mutated cluster.  A dynamic shard's payload holds one copy of
+its points (see :mod:`repro.core.dynamic`), so such a re-save writes the
+rows once.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import threading
+import time
 from typing import Any, Dict, List, Optional, Union
 
 from os import PathLike
@@ -41,7 +52,12 @@ SPAWN_TIMEOUT_S = 60.0
 
 
 class ProcessShard:
-    """One shard server in its own ``spawn``-ed process."""
+    """One shard server in its own ``spawn``-ed process.
+
+    Construction launches the process and returns at once; the shard
+    imports and loads its payload in the background until
+    :meth:`wait_ready` reads its port.
+    """
 
     def __init__(
         self,
@@ -53,6 +69,7 @@ class ProcessShard:
         context = multiprocessing.get_context("spawn")
         parent_conn, child_conn = context.Pipe()
         self.shard_id = int(shard_id)
+        self.port = 0  # set by wait_ready
         self.process = context.Process(
             target=shard_process_main,
             args=(payload_path, config, shard_id, initial_version, child_conn),
@@ -61,20 +78,41 @@ class ProcessShard:
         )
         self.process.start()
         child_conn.close()
-        if not parent_conn.poll(SPAWN_TIMEOUT_S):
-            self.process.kill()
-            raise RuntimeError(
-                f"shard {shard_id} did not report a port within "
-                f"{SPAWN_TIMEOUT_S:g}s"
-            )
-        message = parent_conn.recv()
-        parent_conn.close()
+        self._conn = parent_conn
+        self._deadline = time.monotonic() + SPAWN_TIMEOUT_S
+
+    def wait_ready(self) -> int:
+        """Block until the shard reports its port; returns the port.
+
+        A shard that misses :data:`SPAWN_TIMEOUT_S` (counted from its
+        launch) is killed and joined; one that fails to load or bind has
+        exited and is joined.  Either way the ``RuntimeError`` names it.
+        """
+        conn = self._conn
+        try:
+            if not conn.poll(max(0.0, self._deadline - time.monotonic())):
+                self.kill()
+                raise RuntimeError(
+                    f"shard {self.shard_id} did not report a port within "
+                    f"{SPAWN_TIMEOUT_S:g}s"
+                )
+            try:
+                message = conn.recv()
+            except EOFError:
+                self.process.join(timeout=10)
+                raise RuntimeError(
+                    f"shard {self.shard_id} exited before reporting a port "
+                    f"(exit code {self.process.exitcode})"
+                ) from None
+        finally:
+            conn.close()
         if "error" in message:
             self.process.join(timeout=10)
             raise RuntimeError(
-                f"shard {shard_id} failed to start: {message['error']}"
+                f"shard {self.shard_id} failed to start: {message['error']}"
             )
         self.port = int(message["port"])
+        return self.port
 
     @property
     def alive(self) -> bool:
@@ -90,7 +128,8 @@ class ProcessShard:
             self.process.join(timeout=10)
 
     def kill(self) -> None:
-        """Hard kill (the failure the degraded-serving tests inject)."""
+        """Hard kill, then join: a shard that missed its spawn timeout, or
+        the failure the degraded-serving tests inject."""
         self.process.kill()
         self.process.join(timeout=10)
 
@@ -134,6 +173,10 @@ class ThreadShard:
             raise
         self.port = int(self._server.port or 0)
         self._stopped = False
+
+    def wait_ready(self) -> int:
+        """The port: construction already started the server."""
+        return self.port
 
     @property
     def alive(self) -> bool:
@@ -197,42 +240,50 @@ class ClusterManager:
     # ------------------------------------------------------------- lifecycle
 
     def __enter__(self) -> "ClusterManager":
-        try:
-            self.start()
-        except BaseException:
-            self.stop()
-            raise
+        self.start()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.stop()
 
     def start(self) -> None:
-        """Spawn every shard, then the router over their live addresses."""
+        """Start every shard, then the router over their live addresses.
+
+        Every shard is launched before any port is read, so process
+        shards import and load their payloads in parallel.  If a shard
+        fails to start or misses :data:`SPAWN_TIMEOUT_S`, or the router
+        cannot start, everything launched is stopped and the error
+        (naming the shard) propagates.
+        """
+        try:
+            self._start()
+        except BaseException:
+            self.stop()
+            raise
+
+    def _start(self) -> None:
         spec = self.spec
-        links: List[ShardLink] = []
         for entry in self.manifest.shards:
-            shard = self._spawn_shard(entry.shard_id, initial_version=0)
-            self.shards.append(shard)
-            links.append(
-                ShardLink(
-                    entry.shard_id,
-                    spec.host,
-                    shard.port,
-                    entry.load_point_ids(),
-                )
+            self.shards.append(
+                self._spawn_shard(entry.shard_id, initial_version=0)
             )
+        ports = [shard.wait_ready() for shard in self.shards]
+        links = [
+            ShardLink(entry.shard_id, spec.host, port, entry.load_point_ids())
+            for entry, port in zip(self.manifest.shards, ports)
+        ]
         backend = ScatterGatherBackend(links, default_k=spec.default_k)
         self.backend = backend
 
         def factory(searcher: Any, cfg: Optional[ServeConfig]) -> SearchServer:
             return RouterServer(searcher, cfg, backend=backend)
 
-        self._router = BackgroundServer(
+        router = BackgroundServer(
             None, self._router_config(), server_factory=factory
         )
-        self._router.__enter__()
-        self.router_port = self._router.port
+        router.__enter__()
+        self._router = router
+        self.router_port = router.port
 
     def stop(self) -> None:
         """Drain the router, then stop every shard."""
@@ -296,6 +347,7 @@ class ClusterManager:
         shard = self._spawn_shard(
             shard_id, initial_version=backend.version
         )
+        port = shard.wait_ready()
         old, self.shards[shard_id] = self.shards[shard_id], shard
         if old.alive:
             old.stop()
@@ -304,7 +356,7 @@ class ClusterManager:
         done = threading.Event()
 
         def swap() -> None:
-            link.set_address(shard.port)
+            link.set_address(port)
             done.set()
 
         router._loop.call_soon_threadsafe(swap)

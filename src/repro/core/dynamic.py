@@ -25,6 +25,14 @@ any static :class:`~repro.core.index_base.P2HIndex` with the standard
   is precisely the "lightweight construction" property the paper
   emphasizes).
 
+The static points are kept **once**.  When the static index stores
+float64 rows (``ram`` or ``mmap`` storage), its own array store is the
+only copy: :meth:`~DynamicP2HIndex.point` and the rebuild read the
+inserted rows back from it, bit for bit.  A float32 store (``float32``,
+``mmap32``) rounds them, so the wrapper then keeps a raw float64 copy of
+the static rows beside it.  A loaded payload that holds such a copy over
+a float64 store keeps it until its next rebuild.
+
 The wrapper exposes the same ``search`` contract as the static indexes and
 adds ``insert`` / ``delete`` / ``rebuild``.
 """
@@ -42,7 +50,7 @@ from repro.core.index_base import NotFittedError, P2HIndex
 from repro.core.results import SearchResult, SearchStats, TopKCollector
 from repro.engine.batch import BatchSearchResult, execute_batch
 from repro.engine.block import attach_block_timing
-from repro.storage import combined_storage_header
+from repro.storage import StorageSpec, combined_storage_header, take_rows
 from repro.utils.persistence import dump_index_payload, load_typed_index
 from repro.utils.validation import check_points_matrix, check_query_vector
 
@@ -126,9 +134,13 @@ class DynamicP2HIndex:
         ids: np.ndarray,
         points: Optional[np.ndarray],
     ) -> None:
-        """Install a static index over raw ``points`` whose ids are ``ids``."""
+        """Install a static index whose ids are ``ids``.
+
+        ``points`` is the raw copy of its rows, or None when the index's
+        own store holds them exactly (:func:`_stores_exact_rows`).
+        """
         self._static_index = index
-        # Ids in position order (sorted), raw rows, and which are live.
+        # Ids in position order (sorted), the raw copy, and which are live.
         self._static_ids = ids
         self._static_points = points
         self._static_live = np.ones(ids.size, dtype=bool)
@@ -171,6 +183,8 @@ class DynamicP2HIndex:
         """Raw point dimension (``d - 1``), or None before the first insert."""
         if self._static_points is not None:
             return int(self._static_points.shape[1])
+        if self._static_index is not None:
+            return int(self._static_index.dim) - 1
         if self._buffer_ids.size:
             return int(self._buffer_rows.shape[1] - 1)
         return None
@@ -335,15 +349,25 @@ class DynamicP2HIndex:
         return answers
 
     def rebuild(self) -> None:
-        """Fold the buffer and purge tombstones into a freshly built index."""
+        """Fold the buffer and purge tombstones into a freshly built index.
+
+        The live rows are gathered into one matrix, the old index is
+        released, and a fresh one from ``index_factory`` is fitted on the
+        matrix.  The matrix is then dropped if the new index's store holds
+        the rows exactly (float64 storage), and kept as the raw copy if
+        not (float32 storage, or a static family without a row store).
+        """
         self._mutation_version += 1
         live_points, live_ids = self._live_points()
         # Release the old tree and rows before fitting, so a rebuild never
-        # holds them beside the new ones.
+        # holds them beside the new ones.  The gathered rows stand in as
+        # the raw copy until the new index holds them.
         self._set_static(None, live_ids, live_points if live_ids.size else None)
         self._clear_buffer()
         if live_ids.size:
             self._static_index = self.index_factory().fit(live_points)
+            if _stores_exact_rows(self._static_index):
+                self._static_points = None
             self.num_rebuilds += 1
 
     # ------------------------------------------------------------ persistence
@@ -378,11 +402,25 @@ class DynamicP2HIndex:
     def to_storage(self, storage) -> "DynamicP2HIndex":
         """Migrate the static sub-index's point arrays (buffer stays RAM).
 
-        Note the next :meth:`rebuild` refits through ``index_factory``,
-        whose own ``storage`` configuration then applies.
+        A float32 store rounds the rows, so moving down to one first takes
+        the raw copy out of the float64 store, and :meth:`point` keeps
+        returning the inserted rows exactly.  Moving back up to float64
+        keeps the copy; the next :meth:`rebuild` refits through
+        ``index_factory``, whose own ``storage`` configuration then
+        applies, and drops the copy if that store is float64.
         """
-        if self._static_index is not None:
-            self._static_index.to_storage(storage)
+        index = self._static_index
+        if index is None:
+            return self
+        if (
+            self._static_points is None
+            and StorageSpec.coerce(storage).dtype != "float64"
+        ):
+            size = int(self._static_ids.size)
+            self._static_points = self._take_static(
+                np.arange(size), np.empty((size, self.dim))
+            )
+        index.to_storage(storage)
         return self
 
     @classmethod
@@ -391,19 +429,23 @@ class DynamicP2HIndex:
         return load_typed_index(path, cls)
 
     def point(self, point_id: int) -> np.ndarray:
-        """Return the raw coordinates of a live point by id."""
+        """Return the raw coordinates of a live point by id.
+
+        The inserted float64 row, bit for bit: a buffered point's from the
+        buffer, a static point's from the raw copy when one is held, else
+        from the static index's float64 store.  Only that row is read.
+        """
         point_id = int(point_id)
         wanted = np.array([point_id], dtype=np.int64)
-        for ids, live, rows in (
-            (self._static_ids, self._static_live, self._static_points),
-            (self._buffer_ids, self._buffer_live, self._buffer_rows),
+        for ids, live, take in (
+            (self._static_ids, self._static_live, self._take_static),
+            (self._buffer_ids, self._buffer_live, self._take_buffered),
         ):
             found = _positions(ids, wanted)
             if found.size:
                 if not live[found[0]]:
                     raise KeyError(f"point {point_id} has been deleted")
-                # Buffer rows carry the augmented coordinate; drop it.
-                return rows[found[0], : self.dim].copy()
+                return take(found, np.empty((1, self.dim)))[0]
         raise KeyError(f"unknown point id {point_id}")
 
     # ------------------------------------------------------------ internals
@@ -427,6 +469,18 @@ class DynamicP2HIndex:
         self._buffer_dead += buffered
         return static + buffered
 
+    def _take_static(self, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Raw static rows at ``positions`` into ``out``: from the raw copy
+        when one is held, else from the static index's own store."""
+        if self._static_points is not None:
+            return take_rows(self._static_points, positions, out)
+        return self._static_index._gather_points(positions, out)
+
+    def _take_buffered(self, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Raw buffer rows at ``positions`` into ``out`` (the augmented
+        coordinate dropped)."""
+        return take_rows(self._buffer_rows, positions, out)
+
     def _live_points(self):
         """Raw rows and ids of every live point, static ones first."""
         static = np.flatnonzero(self._static_live)
@@ -434,14 +488,11 @@ class DynamicP2HIndex:
         ids = np.concatenate([self._static_ids[static], self._buffer_ids[buffered]])
         points = np.empty((ids.size, self.dim or 0))
         # Gather straight into ``points``: a rebuild then holds one copy of
-        # the live rows, not two (``mode="clip"`` skips take's defensive
-        # copy of ``out``; every position is in range).
+        # the live rows, not two.
         if static.size:
-            np.take(self._static_points, static, axis=0,
-                    out=points[:static.size], mode="clip")
+            self._take_static(static, points[:static.size])
         if buffered.size:
-            np.take(self._buffer_rows[:, :-1], buffered, axis=0,
-                    out=points[static.size:], mode="clip")
+            self._take_buffered(buffered, points[static.size:])
         return points, ids
 
     def _maybe_rebuild(self) -> None:
@@ -451,6 +502,16 @@ class DynamicP2HIndex:
         pending = self.buffer_size + self.num_tombstones
         if self._static_index is None or pending > self.rebuild_threshold * base:
             self.rebuild()
+
+
+def _stores_exact_rows(index) -> bool:
+    """Whether ``index``'s own store returns its fitted rows bit for bit:
+    a :class:`P2HIndex` over augmented float64 rows (``ram`` or ``mmap``)."""
+    return (
+        isinstance(index, P2HIndex)
+        and index.augment
+        and index.storage.dtype == "float64"
+    )
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from repro.core.distances import augment_points, is_augmented, normalize_query
 from repro.core.results import SearchResult
 from repro.engine.batch import BatchSearchResult, execute_batch
 from repro.engine.block import attach_block_timing
-from repro.storage import StorageSpec
+from repro.storage import StorageSpec, take_rows
 from repro.utils.persistence import dump_index_payload, load_typed_index
 from repro.utils.timing import Timer
 from repro.utils.validation import check_points_matrix, check_query_vector
@@ -319,6 +319,19 @@ class P2HIndex:
             f"{type(self).__name__} must be fitted before it can be used"
         )
 
+    def _gather_points(
+        self, positions: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Copy the stored rows at ``positions`` into ``out``; returns ``out``.
+
+        ``positions`` index the matrix :meth:`fit` received.  A narrower
+        ``out`` receives the rows' leading columns (an augmented row's raw
+        coordinates).  Only the wanted rows are read from the array store,
+        in its dtype: the un-permuted matrix is never rebuilt.
+        """
+        self._check_fitted()
+        return take_rows(self._points, positions, out)
+
     def _ensure_store(self):
         """The index's array store, creating one for legacy pickles."""
         if self._store is None:
@@ -489,7 +502,14 @@ class LeafStoredPointsMixin:
 
     def _rebuild_points(self) -> np.ndarray:
         leaf = self._leaf_points()
+        out = np.empty(leaf.shape, dtype=leaf.dtype)
+        return self._gather_points(np.arange(leaf.shape[0]), out)
+
+    def _gather_points(
+        self, positions: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        # The leaf-ordered copy holds fit row ``perm[j]`` at row ``j``.
         perm = self.tree.perm
         inverse = np.empty(perm.shape[0], dtype=np.int64)
         inverse[perm] = np.arange(perm.shape[0], dtype=np.int64)
-        return np.asarray(leaf)[inverse]
+        return take_rows(self._leaf_points(), inverse[positions], out)

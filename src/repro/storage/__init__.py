@@ -4,7 +4,8 @@ See :mod:`repro.storage.base` for the :class:`ArrayStore` protocol and the
 declarative :class:`StorageSpec` every index accepts via its ``storage=``
 knob, :mod:`repro.storage.mmap` for the out-of-core backend, and
 :mod:`repro.storage.chunking` for the cost-balanced chunk helpers the
-memory-bounded build path uses.
+memory-bounded build path uses and the row gather (``take_rows``) that
+reads stored rows back without copying a store whole.
 """
 
 from repro.storage.base import (
@@ -15,7 +16,7 @@ from repro.storage.base import (
     StorageSpec,
     combined_storage_header,
 )
-from repro.storage.chunking import balanced_chunks, rows_in_budget
+from repro.storage.chunking import balanced_chunks, rows_in_budget, take_rows
 from repro.storage.mmap import (
     SIDECAR_DIRECTORY,
     SIDECAR_SUFFIX,
@@ -45,5 +46,6 @@ __all__ = [
     "expected_npy_nbytes",
     "rows_in_budget",
     "sidecar_path",
+    "take_rows",
     "verify_sidecar",
 ]

@@ -15,7 +15,11 @@ CLI's refusal paths.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import signal
 import time
+from multiprocessing.connection import Connection
+from multiprocessing.context import SpawnProcess
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from repro.api import (
     save_index,
 )
 from repro.cli import main as cli_main
+from repro.cluster import manager as cluster_manager
 from repro.cluster import (
     ClusterManager,
     ClusterSpec,
@@ -435,6 +440,93 @@ def test_killed_shard_degrades_descriptively_and_recovers(tmp_path):
         cluster.restart_shard(0)
         after = cluster.search(query, k=3)
     assert after == before
+
+
+def test_process_shards_launch_before_any_port_is_read(tmp_path, monkeypatch):
+    """Every shard process is launched before the first port is read, so
+    the shards import and load their payloads in parallel."""
+    events = []
+    launch, recv = SpawnProcess.start, Connection.recv
+
+    def spy_launch(process):
+        events.append(process.name)
+        launch(process)
+
+    def spy_recv(conn):
+        events.append("port read")
+        return recv(conn)
+
+    monkeypatch.setattr(SpawnProcess, "start", spy_launch)
+    monkeypatch.setattr(Connection, "recv", spy_recv)
+    points = make_points(40)
+    queries = make_queries(3)
+    manifest = build_cluster_dir(
+        points, cluster_spec(2), tmp_path / "c"
+    )
+    with ClusterManager(manifest, mode="process") as cluster:
+        answers = routed_answers(cluster.router_port, queries, 3)
+    assert events == ["repro-shard-0", "repro-shard-1", "port read", "port read"]
+    assert_matches_reference(
+        answers, partitioned_reference(points, 2), queries, 3
+    )
+
+
+def _record_process_shards(monkeypatch, kill=None):
+    """Every :class:`ProcessShard` the manager launches, in order; the
+    one numbered ``kill`` is SIGKILLed as soon as it is launched."""
+    launched = []
+
+    class Recorded(cluster_manager.ProcessShard):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            launched.append(self)
+            if self.shard_id == kill:
+                self.process.kill()
+
+    monkeypatch.setattr(cluster_manager, "ProcessShard", Recorded)
+    return launched
+
+
+@pytest.mark.parametrize("failure,message", [
+    ("truncated payload", "shard 1 failed to start"),
+    ("killed at launch", r"shard 1 exited before reporting a port \(exit code -9\)"),
+])
+def test_failed_shard_start_stops_every_launched_shard(
+    tmp_path, monkeypatch, failure, message
+):
+    manifest = build_cluster_dir(
+        make_points(40), cluster_spec(2), tmp_path / "c"
+    )
+    if failure == "truncated payload":
+        payload = manifest.shards[1].payload_path
+        payload.write_bytes(payload.read_bytes()[:100])
+    launched = _record_process_shards(
+        monkeypatch, kill=1 if failure == "killed at launch" else None
+    )
+    with pytest.raises(RuntimeError, match=message):
+        with ClusterManager(manifest, mode="process"):
+            pass
+    assert [shard.shard_id for shard in launched] == [0, 1]
+    assert all(shard.process.exitcode is not None for shard in launched)
+    assert not multiprocessing.active_children()
+
+
+def test_shard_missing_the_spawn_timeout_is_killed_and_joined(
+    tmp_path, monkeypatch
+):
+    manifest = build_cluster_dir(
+        make_points(40), cluster_spec(2), tmp_path / "c"
+    )
+    monkeypatch.setattr(cluster_manager, "SPAWN_TIMEOUT_S", 0.0)
+    launched = _record_process_shards(monkeypatch)
+    cluster = ClusterManager(manifest, mode="process")
+    with pytest.raises(RuntimeError, match="shard 0 did not report a port"):
+        cluster.start()
+    late, other = launched
+    assert late.process.exitcode == -signal.SIGKILL
+    assert other.process.exitcode is not None
+    assert not multiprocessing.active_children()
+    assert cluster.shards == [] and cluster.router_port is None
 
 
 def test_thread_mode_kill_and_restart(tmp_path):

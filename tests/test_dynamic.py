@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BallTree, LinearScan
+from repro.api import build_index, describe_index, load_index, save_index
 from repro.core.distances import normalize_query
-from repro.core.dynamic import DynamicP2HIndex
+from repro.core.dynamic import DynamicP2HIndex, _stores_exact_rows
 from repro.core.index_base import NotFittedError
 from repro.eval import epsilon_recall, exact_ground_truth
 
@@ -376,3 +377,154 @@ class TestDynamicProperty:
             np.testing.assert_allclose(
                 np.sort(result.distances), np.sort(expected), atol=1e-9
             )
+
+
+def _dynamic_spec(tree_params, **params):
+    """A dynamic index over a BC-Tree with ``tree_params``."""
+    tree = {"kind": "bc_tree", "params": {"random_state": 3, **tree_params}}
+    return {"kind": "dynamic", "params": {"index": tree, **params}}
+
+
+class TestOneCopyOfThePoints:
+    """A dynamic index over a float64 store keeps no raw copy of the
+    static rows beside it: the payload is about the static index's."""
+
+    POINTS = np.random.default_rng(9).normal(size=(4000, 32))
+
+    def test_payload_within_1_1x_of_the_static_index(self, tmp_path):
+        tree = {"leaf_size": 32}
+        static = build_index("bc_tree", random_state=3, **tree).fit(self.POINTS)
+        dynamic = build_index(_dynamic_spec(tree))
+        dynamic.insert(self.POINTS)
+        save_index(static, tmp_path / "static.idx")
+        save_index(dynamic, tmp_path / "dynamic.idx")
+        static_bytes = describe_index(tmp_path / "static.idx").payload_bytes
+        dynamic_bytes = describe_index(tmp_path / "dynamic.idx").payload_bytes
+        assert dynamic_bytes <= 1.1 * static_bytes
+
+    def test_mmap_static_rows_stay_out_of_the_main_payload(self, tmp_path):
+        dynamic = build_index(_dynamic_spec({"leaf_size": 32, "storage": "mmap"}))
+        dynamic.insert(self.POINTS)
+        path = tmp_path / "dynamic.idx"
+        save_index(dynamic, path)
+        info = describe_index(path)
+        assert info.storage == {"backend": "mmap", "dtype": "float64"}
+        assert info.sidecar_bytes > self.POINTS.nbytes
+        assert info.payload_bytes < 0.5 * self.POINTS.nbytes
+
+    @pytest.mark.parametrize("kind,params", [
+        ("bc_tree", {"leaf_size": 16}),
+        ("kd_tree", {"leaf_size": 16}),
+        ("rp_tree", {"leaf_size": 16}),
+        ("bc_tree", {"leaf_size": 16, "memory_budget_mb": 0.01}),
+        ("linear_scan", {}),
+        ("nh", {"num_tables": 4}),
+    ])
+    def test_float64_stores_return_the_fitted_rows(self, kind, params):
+        """What lets the raw copy go: every float64 store gives back the
+        rows ``fit`` received, bit for bit, one row or a subset at a time."""
+        points = self.POINTS[:500, :7]
+        index = build_index(kind, **params).fit(points)
+        assert _stores_exact_rows(index)
+        wanted = np.array([499, 3, 0, 250, 3])
+        out = index._gather_points(wanted, np.empty((wanted.size, 7)))
+        assert out.tobytes() == points[wanted].tobytes()
+        assert not _stores_exact_rows(index.to_storage("float32"))
+
+
+STORAGES = ("ram", "mmap", "float32", "mmap32")
+
+
+class TestExactRowsEveryStorage:
+    """``point()`` returns the inserted float64 rows bit for bit, and a
+    rebuild answers like a fresh index fed the same history, whatever the
+    static store holds: on a fresh index, after a move down to float32 and
+    back up, and on a payload saved in the raw-copy layout."""
+
+    K = 5
+    RNG = np.random.default_rng(17)
+    ROWS = RNG.normal(size=(300, 7))
+    EXTRA = RNG.normal(size=(30, 7))
+    QUERIES = RNG.normal(size=(6, 8))
+    DELETED = [0, 5, 17, 299, 301, 322]
+
+    def _started(self, storage):
+        index = build_index(_dynamic_spec(
+            {"leaf_size": 16, "storage": storage}, auto_rebuild=False
+        ))
+        index.insert(self.ROWS)
+        index.rebuild()
+        return index
+
+    def _raw_copy_layout(self, storage, path):
+        """Save the state in the layout that held a raw copy of every
+        static row beside the static index, and load it back."""
+        fresh = self._started(storage)
+        state = dict(fresh.__dict__)
+        state["_static_points"] = self.ROWS.copy()
+        old = DynamicP2HIndex.__new__(DynamicP2HIndex)
+        old.__dict__.update(state)  # pickled as its state, verbatim
+        old.save(path)
+        return load_index(path)
+
+    def _index(self, storage, variant, tmp_path):
+        path = tmp_path / "dynamic.idx"
+        if variant == "raw-copy payload":
+            return self._raw_copy_layout(storage, path)
+        index = self._started(storage)
+        if variant == "down and up":
+            index.to_storage("float32")
+            index.to_storage("ram")
+        save_index(index, path)
+        return load_index(path)
+
+    def _assert_points_exact(self, index):
+        rows = np.vstack([self.ROWS, self.EXTRA])
+        for point_id in range(len(rows)):
+            if point_id in self.DELETED:
+                with pytest.raises(KeyError):
+                    index.point(point_id)
+            else:
+                got = index.point(point_id)
+                assert got.dtype == np.float64
+                assert got.tobytes() == rows[point_id].tobytes()
+
+    def _assert_same_answers(self, got, want):
+        for options in ({}, {"exact": False}, {"max_candidates": 40}):
+            a = got.batch_search(self.QUERIES, k=self.K, **options)
+            b = want.batch_search(self.QUERIES, k=self.K, **options)
+            for row_a, row_b in zip(a, b):
+                np.testing.assert_array_equal(row_a.indices, row_b.indices)
+                assert row_a.distances.tobytes() == row_b.distances.tobytes()
+                for field in COUNTERS:
+                    assert getattr(row_a.stats, field) == getattr(
+                        row_b.stats, field
+                    )
+
+    @pytest.mark.parametrize(
+        "variant", ["fresh", "down and up", "raw-copy payload"]
+    )
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_points_exact_and_rebuild_matches_fresh(
+        self, storage, variant, tmp_path
+    ):
+        index = self._index(storage, variant, tmp_path)
+        fresh = self._started(storage)
+        for dynamic in (index, fresh):
+            dynamic.insert(self.EXTRA)
+            dynamic.delete(self.DELETED)
+        self._assert_points_exact(index)
+        if variant != "down and up":  # its static tree holds rounded rows
+            self._assert_same_answers(index, fresh)
+        if variant != "fresh":  # the copy stays until the next rebuild
+            assert index._static_points is not None
+        index.rebuild()
+        fresh.rebuild()
+        self._assert_points_exact(index)
+        self._assert_same_answers(index, fresh)
+        for dynamic in (index, fresh):
+            assert (dynamic.num_points, dynamic.buffer_size) == (324, 0)
+            assert (dynamic.num_tombstones, dynamic.num_rebuilds) == (0, 2)
+        # A float64 store is the one copy once rebuilt; a float32 one
+        # keeps the raw copy beside it.
+        assert (index._static_points is None) == (storage in ("ram", "mmap"))

@@ -39,7 +39,9 @@ from repro.storage import (
     combined_storage_header,
     rows_in_budget,
     sidecar_path,
+    take_rows,
 )
+from repro.storage import chunking
 from repro.utils.persistence import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -267,6 +269,25 @@ class TestChunking:
     def test_rows_in_budget_floor(self):
         assert rows_in_budget(1, 1000) == 1
         assert rows_in_budget(8000, 10) == 100
+
+    @pytest.mark.parametrize("block_bytes", [chunking.TAKE_BLOCK_BYTES, 3 * 9 * 8])
+    def test_take_rows_matches_fancy_indexing(
+        self, tmp_path, monkeypatch, block_bytes
+    ):
+        """Full-width and leading-column gathers, from a memory map too,
+        through one block or several (3 rows a block here)."""
+        monkeypatch.setattr(chunking, "TAKE_BLOCK_BYTES", block_bytes)
+        source = np.random.default_rng(2).normal(size=(50, 9))
+        np.save(tmp_path / "rows.npy", source)
+        mapped = np.load(tmp_path / "rows.npy", mmap_mode="r")
+        rows = np.array([49, 0, 7, 7, 31, 2, 18, 40])
+        for src in (source, mapped):
+            for width in (9, 8, 1):
+                out = np.empty((rows.size, width))
+                assert take_rows(src, rows, out) is out
+                assert out.tobytes() == source[rows, :width].tobytes()
+        empty = np.empty((0, 8))
+        assert take_rows(source, rows[:0], empty).shape == (0, 8)
 
 
 # ------------------------------------------------- one-resident-copy contract
