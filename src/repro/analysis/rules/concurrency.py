@@ -13,8 +13,9 @@ Two contracts from the batching and serving layers:
 * **Non-blocking coroutines (REP302).**  ``async def`` bodies in the
   serve tier run on the event loop; one blocking call stalls every
   connection.  Flagged: ``time.sleep``, synchronous ``searcher.*search*``
-  calls (those belong on the compute executor via
-  ``run_in_executor``/coalescer), and ``subprocess``/``requests`` calls.
+  calls and the servers' block helper ``search_rows`` (those belong on
+  the compute executor via ``run_in_executor``/coalescer), and
+  ``subprocess``/``requests`` calls.
   Code inside a nested ``def`` is not flagged — that is the standard way
   to package blocking work for an executor.
 * **Non-blocking cluster coroutines (REP303).**  The same contract as
@@ -132,6 +133,10 @@ _BLOCKING_CALLS = {
 #: Attribute calls that are blocking searches when made on a searcher.
 _BLOCKING_SEARCH_ATTRS = ("search", "batch_search", "stream")
 
+#: Functions that run a blocking search whatever they are called on
+#: (``repro.serve.coalescer.search_rows`` answers a served block).
+_BLOCKING_SEARCH_HELPERS = ("search_rows",)
+
 
 def _receiver_mentions_searcher(chain: Optional[tuple]) -> bool:
     if chain is None:
@@ -164,13 +169,15 @@ class _AsyncBodyVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         if self._async_depth > 0:
             chain = _attribute_chain(node.func)
-            if chain is not None and len(chain) >= 2:
-                if chain[-2:] in _BLOCKING_CALLS:
-                    self.blocking.append(node)
-                elif chain[-1] in _BLOCKING_SEARCH_ATTRS and _receiver_mentions_searcher(
-                    chain
-                ):
-                    self.blocking.append(node)
+            if chain is not None and (
+                chain[-2:] in _BLOCKING_CALLS
+                or chain[-1] in _BLOCKING_SEARCH_HELPERS
+                or (
+                    chain[-1] in _BLOCKING_SEARCH_ATTRS
+                    and _receiver_mentions_searcher(chain)
+                )
+            ):
+                self.blocking.append(node)
         self.generic_visit(node)
 
 

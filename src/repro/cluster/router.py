@@ -42,6 +42,7 @@ from typing import (
 
 import numpy as np
 
+from repro.cluster.shard import parse_update_rows
 from repro.core.partitioned import merge_shard_batches
 from repro.core.results import SearchResult, SearchStats
 from repro.engine.batch import BatchSearchResult, pool_results
@@ -424,7 +425,7 @@ class RouterServer(SearchServer):
                 503, "server is draining for shutdown and no longer "
                 "accepts updates"
             )
-        inserts, deletes = _parse_router_update(json_body(body))
+        inserts, deletes = parse_update_rows(json_body(body))
         backend = self.backend
         try:
             return await backend.route_update(inserts, deletes)
@@ -433,32 +434,3 @@ class RouterServer(SearchServer):
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"{type(exc).__name__}: {exc}")
 
-
-def _parse_router_update(
-    payload: Dict[str, Any],
-) -> Tuple[np.ndarray, List[int]]:
-    """Validate one router ``POST /update`` body."""
-    unknown = set(payload) - {"inserts", "deletes"}
-    if unknown:
-        raise HttpError(
-            400, "unknown request keys: " + ", ".join(sorted(unknown))
-        )
-    try:
-        inserts = np.asarray(payload.get("inserts") or [], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise HttpError(400, "'inserts' must be a matrix of numbers")
-    if inserts.size and inserts.ndim != 2:
-        raise HttpError(
-            400, f"'inserts' must be a 2-d matrix, got shape {inserts.shape}"
-        )
-    if inserts.size and not np.all(np.isfinite(inserts)):
-        raise HttpError(400, "'inserts' must contain only finite numbers")
-    raw_deletes = payload.get("deletes") or []
-    if not isinstance(raw_deletes, list):
-        raise HttpError(400, "'deletes' must be a list of point ids")
-    deletes: List[int] = []
-    for item in raw_deletes:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise HttpError(400, f"'deletes' must hold integers, got {item!r}")
-        deletes.append(int(item))
-    return inserts, deletes

@@ -7,10 +7,12 @@ error contract) with the two routes the scatter-gather router speaks:
 ``POST /search_batch``
     ``{"queries": [[...], ...], "k": 5, "options": {...}}`` — answer a
     whole query block in one request.  The block executes on the shard's
-    single compute thread exactly as the coalescer's flushes do (one
-    ``batch_search``; fast-mode and single-query blocks per query), and
-    the response carries the **snapshot version** the block observed, so
-    the router can detect a gather that straddled an update.
+    single compute thread exactly as the coalescer's flushes do
+    (:func:`~repro.serve.coalescer.search_rows`: ``batch_search`` over
+    slices of at most 64 rows, so every row answers as its one-row
+    ``search``), and the response carries the **snapshot version** the
+    block observed, so the router can detect a gather that straddled an
+    update.
 ``POST /update``
     ``{"version": 7, "inserts": [[...], ...], "deletes": [3, 9]}`` —
     apply one update batch atomically.  The version must be exactly one
@@ -33,6 +35,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.serve.coalescer import search_rows
 from repro.serve.config import ServeConfig
 from repro.serve.http import HttpError, json_body
 from repro.serve.server import SearchServer
@@ -86,20 +89,7 @@ class ShardServer(SearchServer):
             # index requests, read under the compute thread so it matches
             # the snapshot the block executes against.
             shard_k = min(k, live)
-            if queries.shape[0] == 1 or overrides.get("exact") is False:
-                # Fast-mode candidate selection depends on the batch
-                # shape, and single rows take the per-query path — the
-                # same rule the coalescer's flushes follow.
-                rows = [
-                    self.searcher.search(row, k=shard_k, **overrides)
-                    for row in queries
-                ]
-            else:
-                rows = list(
-                    self.searcher.batch_search(
-                        queries, k=shard_k, **overrides
-                    )
-                )
+            rows = search_rows(self.searcher, queries, shard_k, overrides)
             return {
                 "version": self._version,
                 "results": [
@@ -192,16 +182,25 @@ def _parse_batch_payload(
 def _parse_update_payload(
     payload: Dict[str, Any],
 ) -> Tuple[int, np.ndarray, List[int]]:
-    """Validate one ``POST /update`` body."""
-    unknown = set(payload) - {"version", "inserts", "deletes"}
-    if unknown:
-        raise HttpError(
-            400, "unknown request keys: " + ", ".join(sorted(unknown))
-        )
-    version = payload.get("version")
+    """Validate one shard ``POST /update`` body: the router's plus a version."""
+    rows = dict(payload)
+    version = rows.pop("version", None)
+    inserts, deletes = parse_update_rows(rows)
     if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise HttpError(
             400, f"'version' must be an integer >= 1, got {version!r}"
+        )
+    return version, inserts, deletes
+
+
+def parse_update_rows(
+    payload: Dict[str, Any],
+) -> Tuple[np.ndarray, List[int]]:
+    """Validate a router ``POST /update`` body (the shard's, less its version)."""
+    unknown = set(payload) - {"inserts", "deletes"}
+    if unknown:
+        raise HttpError(
+            400, "unknown request keys: " + ", ".join(sorted(unknown))
         )
     try:
         inserts = np.asarray(payload.get("inserts") or [], dtype=np.float64)
@@ -219,11 +218,9 @@ def _parse_update_payload(
     deletes: List[int] = []
     for item in raw_deletes:
         if isinstance(item, bool) or not isinstance(item, int):
-            raise HttpError(
-                400, f"'deletes' must hold integers, got {item!r}"
-            )
+            raise HttpError(400, f"'deletes' must hold integers, got {item!r}")
         deletes.append(int(item))
-    return version, inserts, deletes
+    return inserts, deletes
 
 
 def shard_process_main(

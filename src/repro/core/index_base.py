@@ -395,9 +395,14 @@ class P2HIndex:
 
     def __getstate__(self):
         # The engine is a derived structure (plain-list mirrors of the tree
-        # arrays); drop it from pickles and rebuild lazily after load.
+        # arrays); drop it from pickles and rebuild lazily after load.  A
+        # matrix the store holds as "points" travels with the store (an
+        # mmap store pickles only its file names) and is re-attached on load.
         state = dict(self.__dict__)
         state["_engine_cache"] = None
+        store = state.get("_store")
+        if store is not None and "points" in store:
+            state["_points"] = None
         return state
 
     def __setstate__(self, state):
@@ -410,6 +415,10 @@ class P2HIndex:
             self.storage = StorageSpec()
         if "_store" not in state:
             self._store = None
+        if self._store is not None and "points" in self._store:
+            # Payloads that also pickled the matrix itself load it as an
+            # in-memory copy; serve the store's array instead.
+            self._points = self._store.get("points")
 
     # ------------------------------------------------------------- overrides
 

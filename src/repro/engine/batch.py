@@ -265,7 +265,7 @@ def execute_batch(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
         )
     n_jobs = 1 if n_jobs is None else check_positive_int(n_jobs, name="n_jobs")
-    workers = min(n_jobs, os.cpu_count() or 1)
+    workers = 1 if n_jobs == 1 else min(n_jobs, os.cpu_count() or 1)
     # The one validation pass: kernels trust the block they are given.
     matrix = check_query_matrix(queries)
     num_queries = matrix.shape[0]

@@ -8,9 +8,9 @@ single-query requests by group commit: a request joins a queue, and
 whenever the compute thread is free the flusher cuts everything queued
 (at most ``max_batch``) into one flush.  An idle server answers a lone
 query at once; a busy one batches what queued behind its current flush.
-Flushes execute through the session's ordinary ``batch_search``, so
-every coalesced answer is bit-identical to the per-query answer, by the
-engine's own determinism contract.  The event loop must never block on
+Flushes execute through the session's ordinary ``batch_search``, in
+slices of at most 64 rows, so every coalesced answer, exact or
+``exact=False``, is bit-identical to the per-query answer.  The event loop must never block on
 compute — searches run on the coalescer's executor — and ``repro
 check`` rule REP302 enforces this statically, alongside the public
 error contracts REP401-REP403 (descriptive exceptions, no silent broad

@@ -8,21 +8,18 @@ queue, and a flusher task cuts whatever is queued (at most
 ``max_batch``) the moment the backend is free.  An idle backend answers
 a lone query at once; a busy one batches whatever queued behind its
 current flush.  No request ever waits for companions that may not come.
-Each flush executes through the session's ordinary ``batch_search``, so
-a coalesced answer is **bit-identical** to the per-query answer by the
-engine's own determinism contract.
 
 Requests carry their own ``k``/budget/``exact`` options.  A flush groups
-its requests by option signature and runs one ``batch_search`` per group;
+its requests by option signature and answers each group as one block;
 options therefore ride the existing per-task payloads of the warm pool,
 and mixed-option traffic coalesces within — never across — option groups.
-One deliberate exception: ``exact=False`` (fast mode) groups execute **per
-query**.  The fast kernel answers a row of a block of at most 64 rows
-exactly as its one-row search, but a flush may hold more requests
-(``max_batch`` is settable), and a taller block's GEMMs round a row by
-its block-mates — batching it would break the bit-identity contract.
-Only the exact engine, whose batch results are pinned bit-identical to
-per-query results for every family, answers a multi-query flush.
+Every served block, a lone query's included, runs through
+:func:`search_rows`: the session's ``batch_search`` over contiguous
+slices of at most :data:`~repro.engine.fast.ROW_SWEEP_LIMIT` rows.  An
+exact row runs its own descent in any block, and a fast
+(``exact=False``) row does so in any block of at most that many rows, so
+a coalesced answer is **bit-identical** to ``Searcher.search`` with the
+same options, whatever ``max_batch`` is.
 
 Execution happens through a pluggable **backend**.  The default
 :class:`SearcherBackend` runs option-groups on a single dedicated compute
@@ -42,6 +39,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.batch import _batch_kernel_of
+from repro.engine.fast import ROW_SWEEP_LIMIT
+
 
 class BackendUnavailable(RuntimeError):
     """The execution backend cannot answer right now (the server maps it
@@ -59,7 +59,7 @@ def options_signature(
     ``repr`` canonicalizes the values (floats round-trip exactly, bools
     and ints are distinct), so two requests land in one block only when
     their effective search options are literally identical — the
-    precondition for answering them with one ``batch_search`` call.  The
+    precondition for answering them as one block.  The
     query dimension is part of the key: a wrong-dimension query then fails
     alone in its own group (with the engine's own dimension error) instead
     of poisoning the flush of its well-formed companions.
@@ -69,6 +69,25 @@ def options_signature(
         dim,
         tuple(sorted((name, repr(value)) for name, value in overrides.items())),
     )
+
+
+def search_rows(
+    searcher: Any, queries: np.ndarray, k: Optional[int], overrides: Dict[str, Any]
+) -> List[Any]:
+    """Answer a served block, one result per row (blocking; compute thread).
+
+    The one way the servers run a block: ``searcher.batch_search`` over
+    contiguous slices of at most :data:`ROW_SWEEP_LIMIT` rows.  A fast row
+    of a taller block would be rounded by its block-mates' GEMMs; within
+    the limit every row, exact or fast, answers as its one-row
+    ``searcher.search`` does.
+    """
+    rows: List[Any] = []
+    for lo in range(0, queries.shape[0], ROW_SWEEP_LIMIT):
+        rows.extend(searcher.batch_search(
+            queries[lo:lo + ROW_SWEEP_LIMIT], k=k, **overrides
+        ))
+    return rows
 
 
 class PendingRequest:
@@ -89,8 +108,9 @@ class PendingRequest:
         self.overrides = overrides
         self.signature = options_signature(k, overrides, int(query.shape[0]))
         self.future = future
-        #: Size of the flush this request rode in (stamped at execution;
-        #: surfaced in the response so clients/tests can see coalescing).
+        #: Size of the option-group this request rode in (stamped at
+        #: execution; surfaced in the response so clients/tests can see
+        #: coalescing).
         self.batch_size = 0
 
 
@@ -111,6 +131,9 @@ class SearcherBackend:
                 "cannot serve a closed Searcher session; open a fresh "
                 "session for the server"
             )
+        # Every flush is a batch_search: refuse an index without a batch
+        # kernel here rather than answer each of its requests with a 400.
+        _batch_kernel_of(searcher.index)
         self.searcher = searcher
         self._compute = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-compute"
@@ -144,30 +167,10 @@ class SearcherBackend:
         )
 
     def _search_group(self, group: List[PendingRequest]) -> List[Any]:
-        """Answer one option-group as a single block (compute thread).
-
-        Two cases go through the session's single-query ``search`` — the
-        very call the bit-identity contract is defined against — instead
-        of ``batch_search``: flushes of one query (there is nothing to
-        coalesce, so they take the per-query path a non-coalescing server
-        would), and fast-mode (``exact=False``) requests, whose kernel's
-        candidate selection depends on the batch shape, so only per-query
-        execution matches what a direct ``Searcher.search`` with the same
-        options returns.
-        """
+        """Answer one option-group as a block (compute thread)."""
         head = group[0]
-        if len(group) == 1 or head.overrides.get("exact") is False:
-            return [
-                self.searcher.search(
-                    request.query, k=request.k, **request.overrides
-                )
-                for request in group
-            ]
         matrix = np.stack([request.query for request in group])
-        batch = self.searcher.batch_search(
-            matrix, k=head.k, **head.overrides
-        )
-        return list(batch)
+        return search_rows(self.searcher, matrix, head.k, head.overrides)
 
 
 class QueryCoalescer:
@@ -181,10 +184,8 @@ class QueryCoalescer:
     Parameters
     ----------
     backend:
-        Either an execution backend (anything with the
-        :class:`SearcherBackend` surface: ``start`` / ``run_group`` /
-        ``aclose`` / ``describe``) or a warm :class:`repro.api.Searcher`
-        session, which is wrapped in a :class:`SearcherBackend`.
+        The execution backend: anything with the :class:`SearcherBackend`
+        surface (``start`` / ``run_group`` / ``aclose`` / ``describe``).
     max_batch:
         Most queries per flush; 1 disables coalescing.
     max_queue_depth:
@@ -199,8 +200,6 @@ class QueryCoalescer:
         max_batch: int,
         max_queue_depth: int,
     ) -> None:
-        if not hasattr(backend, "run_group"):
-            backend = SearcherBackend(backend)
         self.backend = backend
         self._max_batch = int(max_batch)
         self._max_queue_depth = int(max_queue_depth)
@@ -320,13 +319,8 @@ class QueryCoalescer:
         for request in batch:
             groups.setdefault(request.signature, []).append(request)
         for group in groups.values():
-            # Fast-mode groups execute per query (see
-            # SearcherBackend._search_group — the distributed backend
-            # honors the same rule), so their reported flush size is
-            # honestly 1.
-            coalesced = group[0].overrides.get("exact") is not False
             for request in group:
-                request.batch_size = len(group) if coalesced else 1
+                request.batch_size = len(group)
             try:
                 results = await self.backend.run_group(group)
             # repro: allow[REP403] not swallowed: the exception is forwarded

@@ -24,7 +24,8 @@ class ServeConfig:
         bound port is reported by ``SearchServer.port`` after start) —
         the right default for tests and benchmarks.
     max_batch:
-        Most queries one coalesced flush may carry.  ``1`` disables
+        Most queries one coalesced flush may carry; a flush above 64
+        rows runs as several ``batch_search`` slices.  ``1`` disables
         coalescing: every request executes as its own single-query batch
         (the per-query serving baseline the benchmark compares against).
     max_wait_ms:

@@ -7,7 +7,9 @@
     One query per request: ``{"query": [...], "k": 5, "options": {...}}``.
     The request joins the :class:`~repro.serve.coalescer.QueryCoalescer`
     queue and is answered when its flush executes — bit-identical to
-    calling ``searcher.search`` with the same arguments.
+    calling ``searcher.search`` with the same arguments, ``exact=False``
+    included.  ``batch_size`` in the answer is the size of its flush's
+    option-group.
 ``GET /healthz``
     Liveness plus the effective :class:`~repro.serve.config.ServeConfig`.
 ``GET /stats``

@@ -323,6 +323,28 @@ def test_rep303_clean_executor_pattern(tmp_path):
     assert "REP303" not in rule_ids(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "module,rule", [("serve/handler.py", "REP302"), ("cluster/shard.py", "REP303")]
+)
+def test_search_rows_in_a_coroutine_is_blocking(tmp_path, module, rule):
+    write_module(tmp_path, module, """\
+        from repro.serve import coalescer
+        from repro.serve.coalescer import search_rows
+
+        async def handle(searcher, queries):
+            coalescer.search_rows(searcher, queries, 5, {})
+            return search_rows(searcher, queries, 5, {})
+
+        async def clean(loop, searcher, queries):
+            return await loop.run_in_executor(
+                None, lambda: search_rows(searcher, queries, 5, {})
+            )
+    """)
+    # Flagged by name, bare or as an attribute; the call inside the
+    # lambda handed to the executor is not.
+    assert rule_ids(tmp_path).count(rule) == 2
+
+
 def test_rep303_ignores_blocking_calls_outside_cluster(tmp_path):
     write_module(tmp_path, "eval/runner.py", """\
         import time

@@ -26,6 +26,7 @@ import pytest
 
 from repro.api import (
     IndexSpec,
+    Searcher,
     build_index,
     describe_index,
     load_index,
@@ -36,13 +37,16 @@ from repro.cluster import manager as cluster_manager
 from repro.cluster import (
     ClusterManager,
     ClusterSpec,
+    ShardServer,
     build_cluster_dir,
     read_manifest,
     resolve_cluster_spec,
     split_partitioned_payload,
     write_manifest,
 )
-from repro.serve import ServeClient, ServeError
+from repro.cluster.shard import _parse_update_payload, parse_update_rows
+from repro.serve import BackgroundServer, ServeClient, ServeConfig, ServeError
+from repro.serve.http import HttpError
 
 DIM = 6
 LEAF_SIZE = 16
@@ -91,13 +95,13 @@ def partitioned_reference(points, num_shards):
     return build_index(spec).fit(points)
 
 
-def routed_answers(port, queries, k):
+def routed_answers(port, queries, k, **options):
     """One concurrent routed request per query (coalescable)."""
 
     async def drive():
         async def one(query):
             async with ServeClient("127.0.0.1", port) as client:
-                return await client.search(query, k=k)
+                return await client.search(query, k=k, **options)
 
         return await asyncio.gather(*[one(query) for query in queries])
 
@@ -299,6 +303,46 @@ def test_routed_parity_with_boundary_ties(tmp_path, num_shards):
     assert_matches_reference(serial, reference, queries, k=5)
 
 
+def test_routed_fast_mode_parity(tmp_path):
+    """Concurrent routed exact=False requests, in whatever blocks the
+    router's flushes cut, each equal the reference's one-row fast search."""
+    points = make_points(60)
+    queries = make_queries(16)
+    reference = partitioned_reference(points, 2)
+    manifest = build_cluster_dir(points, cluster_spec(2), tmp_path / "c")
+    with ClusterManager(manifest, mode="thread") as cluster:
+        answers = routed_answers(cluster.router_port, queries, k=5, exact=False)
+    for answer, query in zip(answers, queries):
+        expected = reference.search(query, k=5, exact=False)
+        assert answer["indices"] == [int(i) for i in expected.indices]
+        assert answer["distances"] == [float(d) for d in expected.distances]
+
+
+def test_shard_answers_a_tall_fast_block_as_one_row_searches():
+    """A ``/search_batch`` block of more than 64 exact=False rows is
+    answered in slices, so every row equals its one-row fast search."""
+    queries = make_queries(100)
+    index = build_index(SUB_SPEC).fit(make_points(600))
+    with Searcher(index) as searcher:
+        direct = [searcher.search(query, k=5, exact=False) for query in queries]
+        with BackgroundServer(
+            searcher, ServeConfig(), server_factory=ShardServer
+        ) as server:
+            async def post():
+                async with ServeClient("127.0.0.1", server.port) as client:
+                    return await client.post("/search_batch", {
+                        "queries": queries.tolist(),
+                        "k": 5,
+                        "options": {"exact": False},
+                    })
+
+            answer = asyncio.run(post())
+    assert len(answer["results"]) == len(queries)
+    for row, expected in zip(answer["results"], direct):
+        assert row["indices"] == [int(i) for i in expected.indices]
+        assert row["distances"] == [float(d) for d in expected.distances]
+
+
 def test_router_health_and_stats(tmp_path):
     manifest = build_cluster_dir(
         make_points(40), cluster_spec(2), tmp_path / "c"
@@ -370,6 +414,42 @@ def test_routed_update_insert_delete(tmp_path):
         health = cluster.health()
         assert health["num_points"] == 40 + 4 - 1
         assert health["version"] == 1
+
+
+BAD_UPDATE_ROWS = [
+    ({"inserts": [[1.0]], "mystery": 1}, "unknown request keys: mystery"),
+    ({"inserts": "zap"}, "'inserts' must be a matrix of numbers"),
+    ({"inserts": [1.0, 2.0]}, "'inserts' must be a 2-d matrix, got shape (2,)"),
+    ({"inserts": [[1.0, float("inf")]]},
+     "'inserts' must contain only finite numbers"),
+    ({"deletes": 3}, "'deletes' must be a list of point ids"),
+    ({"deletes": [1, True]}, "'deletes' must hold integers, got True"),
+]
+
+
+@pytest.mark.parametrize("body,message", BAD_UPDATE_ROWS)
+def test_router_and_shard_reject_bad_update_rows_alike(body, message):
+    for parse, payload in (
+        (parse_update_rows, body),
+        (_parse_update_payload, dict(body, version=1)),
+    ):
+        with pytest.raises(HttpError) as err:
+            parse(payload)
+        assert (err.value.status, err.value.message) == (400, message)
+
+
+@pytest.mark.parametrize("body,message", [
+    ({"inserts": [[1.0]]}, "'version' must be an integer >= 1, got None"),
+    ({"version": 0}, "'version' must be an integer >= 1, got 0"),
+    ({"version": True}, "'version' must be an integer >= 1, got True"),
+])
+def test_shard_update_needs_a_version(body, message):
+    with pytest.raises(HttpError) as err:
+        _parse_update_payload(body)
+    assert (err.value.status, err.value.message) == (400, message)
+    # The router's body carries no version: the key is unknown there.
+    with pytest.raises(HttpError, match="unknown request keys: version"):
+        parse_update_rows({"version": 1})
 
 
 def test_update_rejected_on_static_cluster(tmp_path):

@@ -74,6 +74,9 @@ class GatedIndex:
             stats=SearchStats(),
         )
 
+    def _batch_kernel(self, queries, k, **kwargs):
+        return [self.search(query, k, **kwargs) for query in queries]
+
 
 def _run(coro):
     return asyncio.run(coro)
@@ -232,23 +235,29 @@ def test_coalescing_actually_batches(fitted_index, hyperplanes):
     assert stats["batches_executed"] < len(hyperplanes)
 
 
-def test_fast_mode_requests_execute_per_query(fitted_index, hyperplanes):
-    """exact=False answers report batch_size 1: the fast kernel's candidate
-    selection is batch-shape-dependent, so coalescing it would break the
-    bit-identity contract."""
+@pytest.mark.parametrize(
+    "count,max_batch", [(12, 32), (100, 128)], ids=["12-rows", "100-rows"]
+)
+def test_fast_mode_requests_share_a_flush(fitted_index, count, max_batch):
+    """exact=False requests queued behind a busy flush ride the next one
+    together, and each answers exactly as its one-row fast search — also
+    in a flush taller than 64 rows, which is answered in slices."""
+    queries = np.random.default_rng(13).normal(size=(count, 9))
     with Searcher(fitted_index, SearchOptions(k=5)) as searcher:
-        config = ServeConfig(max_batch=32, max_wait_ms=20.0)
-        with BackgroundServer(searcher, config) as server:
-            async def drive():
-                async def one(q):
-                    async with ServeClient("127.0.0.1", server.port) as client:
-                        return await client.search(q, exact=False)
-                return await asyncio.gather(*[one(q) for q in hyperplanes[:12]])
+        direct = [searcher.search(q, exact=False) for q in queries]
 
-            answers = _run(drive())
-        direct = [searcher.search(q, exact=False) for q in hyperplanes[:12]]
+        async def scenario(server):
+            calls = [_search(server.port, q, exact=False) for q in queries]
+            first, rest = await _queued_behind_held_flush(
+                server, calls[0], calls[1:]
+            )
+            return [first, *rest]
+
+        answers = _serve(searcher, ServeConfig(max_batch=max_batch), scenario)
+    assert [answer["batch_size"] for answer in answers] == (
+        [1] + [count - 1] * (count - 1)
+    )
     for answer, expected in zip(answers, direct):
-        assert answer["batch_size"] == 1
         assert answer["indices"] == [int(i) for i in expected.indices]
         assert answer["distances"] == [float(d) for d in expected.distances]
 
@@ -456,6 +465,21 @@ def test_server_refuses_closed_searcher(fitted_index):
     searcher.close()
     with pytest.raises(RuntimeError, match="closed"):
         SearchServer(searcher)
+
+
+def test_server_refuses_an_index_without_a_batch_kernel():
+    """Every flush is a batch_search, so an index without the batch
+    kernel is refused when the server is built, not on a later flush."""
+
+    class SearchOnly:
+        num_points = 1
+
+        def search(self, query, k=1, **kwargs):
+            raise AssertionError("never searched")
+
+    with Searcher(SearchOnly()) as searcher:
+        with pytest.raises(TypeError, match="SearchOnly has no _batch_kernel"):
+            SearchServer(searcher)
 
 
 # ------------------------------------------------------------------ routing

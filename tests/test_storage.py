@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pickle
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.api import (
 )
 from repro.core.chunked import chunked_fit
 from repro.core.distances import augment_points
+from repro.core.index_base import P2HIndex
 from repro.core.dynamic import DynamicP2HIndex
 from repro.core.partitioned import PartitionedP2HIndex
 from repro.storage import (
@@ -556,6 +558,56 @@ class TestPersistenceEdgeCases:
         loaded = load_index(moved)
         got = loaded.search(small_queries[0], k=10)
         np.testing.assert_array_equal(got.indices, expected.indices)
+
+
+class TestStoreHeldMatrixSavedOnce:
+    """An index whose store holds its ``"points"`` (``LinearScan``) pickles
+    the matrix only through the store, and re-attaches it on load."""
+
+    @staticmethod
+    def _assert_same_answers(index, queries, expected):
+        for query, before in zip(queries, expected):
+            after = index.search(query, k=10)
+            np.testing.assert_array_equal(after.indices, before.indices)
+            assert after.distances.tobytes() == before.distances.tobytes()
+
+    @pytest.mark.parametrize("storage", ["ram", "mmap"])
+    def test_round_trip(
+        self, tmp_path, small_clustered_data, small_queries, storage
+    ):
+        index = LinearScan(storage=storage).fit(small_clustered_data)
+        expected = [index.search(query, k=10) for query in small_queries]
+        path = tmp_path / "scan.bin"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded._points is loaded._store.get("points")
+        if storage == "mmap":
+            # Only the sidecar holds the matrix, and the loaded index
+            # serves straight from it.
+            assert path.stat().st_size < index._points.nbytes / 10
+            assert Path(loaded._points.filename).resolve().is_relative_to(
+                sidecar_path(path).resolve()
+            )
+        self._assert_same_answers(loaded, small_queries, expected)
+
+    @pytest.mark.parametrize("storage", ["ram", "mmap"])
+    def test_payload_that_pickled_the_matrix_still_loads(
+        self, tmp_path, monkeypatch, small_clustered_data, small_queries, storage
+    ):
+        index = LinearScan(storage=storage).fit(small_clustered_data)
+        expected = [index.search(query, k=10) for query in small_queries]
+        path = tmp_path / "old.bin"
+        with monkeypatch.context() as patch:
+            # The earlier layout: every attribute but the engine cache.
+            patch.setattr(
+                P2HIndex,
+                "__getstate__",
+                lambda self: dict(self.__dict__, _engine_cache=None),
+            )
+            save_index(index, path)
+        loaded = load_index(path)
+        assert loaded._points is loaded._store.get("points")
+        self._assert_same_answers(loaded, small_queries, expected)
 
 
 class TestDescribeIndex:
